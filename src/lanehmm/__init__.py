@@ -32,12 +32,12 @@ from .inverse_sensor import (
     RawLineObservation,
     TrackedLine,
     WorEvidence,
-    build_tentative,
     compute_wor,
     expected_boundary_offsets,
     implied_lane_from_continuous,
     line_compatible,
     normalize_tentative,
+    tentative_parts,
 )
 from .map_provider import MapExtract, RoadSegment, load_extract, lookup_lane_count
 from .model_core import (

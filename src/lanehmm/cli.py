@@ -152,7 +152,8 @@ def cmd_run(args) -> int:
             f"sequence header {header.n_lanes}"
         )
     cfg = _runtime_config(args, header.lane_width_m)
-    results = pipeline.run_sequence(header, frames, params, cfg)
+    evidence = pipeline.build_evidence(header, frames, cfg)
+    results = pipeline.run_sequence(evidence, params)
     if args.out:
         write_results(args.out, header, results)
 
@@ -165,25 +166,20 @@ def cmd_run(args) -> int:
         "out": str(args.out) if args.out else None,
     }
     annotated = any(f.gt_lane is not None for f in frames)
-    if annotated:
+    if annotated or args.trace:
         estimates = [(r.frame_id, r.map_lane) for r in results]
-        baseline = evaluation.detector_baseline(
-            frames, params, cfg, lri_source=header.lri_source
-        )
-        model_eval = evaluation.evaluate(estimates, frames, n_lanes)
-        baseline_eval = evaluation.evaluate(baseline, frames, n_lanes)
+        baseline = evaluation.detector_baseline(evidence, params.bv)
         timeline = evaluation.make_timeline(frames, estimates, baseline)
-        report = evaluation.compare(model_eval, baseline_eval, timeline)
-        summary["metrics"] = report.to_dict()
         if args.trace:
             _write_timeline(args.trace, timeline)
-        _eprint(report.render_text())
-    elif args.trace:
-        estimates = [(r.frame_id, r.map_lane) for r in results]
-        baseline = evaluation.detector_baseline(
-            frames, params, cfg, lri_source=header.lri_source
+    if annotated:
+        report = evaluation.compare(
+            evaluation.evaluate(estimates, frames, n_lanes),
+            evaluation.evaluate(baseline, frames, n_lanes),
+            timeline,
         )
-        _write_timeline(args.trace, evaluation.make_timeline(frames, estimates, baseline))
+        summary["metrics"] = report.to_dict()
+        _eprint(report.render_text())
     _emit(summary)
     return EXIT_OK
 
@@ -221,9 +217,7 @@ def cmd_tune(args) -> int:
             train.append(first)
             heldout.append(second)
     space = tuner.SearchSpace()
-    result = tuner.random_search(
-        space, train, budget=args.budget, seed=args.seed, jobs=args.jobs
-    )
+    result = tuner.random_search(space, train, budget=args.budget, seed=args.seed)
     all_trials = result.trials
     if args.refine:
         result = tuner.coordinate_refine(
@@ -279,9 +273,8 @@ def cmd_evaluate(args) -> int:
     if args.preset or args.params:
         params = _load_cli_params(args)
         cfg = _runtime_config(args, truth_header.lane_width_m)
-        baseline = evaluation.detector_baseline(
-            frames, params, cfg, lri_source=truth_header.lri_source
-        )
+        evidence = pipeline.build_evidence(truth_header, frames, cfg)
+        baseline = evaluation.detector_baseline(evidence, params.bv)
         baseline_eval = evaluation.evaluate(baseline, frames, n)
         timeline = evaluation.make_timeline(frames, estimates, baseline)
         report = evaluation.compare(model_eval, baseline_eval, timeline)
@@ -329,10 +322,10 @@ def selfcheck_summary() -> dict:
     """Deterministic end-to-end metrics for the committed golden scenario."""
     header, frames, _ = simulator.simulate(SELFCHECK_SIM)
     params = model_core.load_preset(SELFCHECK_PRESET)
-    cfg = RuntimeConfig(lane_width=header.lane_width_m)
-    results = pipeline.run_sequence(header, frames, params, cfg)
+    evidence = pipeline.build_evidence(header, frames)
+    results = pipeline.run_sequence(evidence, params)
     estimates = [(r.frame_id, r.map_lane) for r in results]
-    baseline = evaluation.detector_baseline(frames, params, cfg)
+    baseline = evaluation.detector_baseline(evidence, params.bv)
     report = evaluation.compare(
         evaluation.evaluate(estimates, frames, header.n_lanes),
         evaluation.evaluate(baseline, frames, header.n_lanes),
@@ -438,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", type=int, default=0, help="coordinate-descent cycles")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--holdout", help="score best params on this sequence instead of splitting")
     p.add_argument("--no-split", action="store_true", help="train on the full sequences")
     p.add_argument("--out", help="write best params here")

@@ -153,15 +153,29 @@ def _parse_header(obj: dict, path, lineno: int, expect_content: str) -> Sequence
         raise SequenceFormatError(f"bad header field: {exc}", path=path, line=lineno) from None
 
 
+def _strict(value, kind: type, name: str, path, lineno: int):
+    """`value` unchanged if it is exactly a JSON `kind` (bool or int).
+
+    No coercion: "false" is not a boolean and 2.9 is not a lane index.
+    """
+    if type(value) is not kind:
+        what = "boolean" if kind is bool else "integer"
+        raise SequenceFormatError(
+            f"{name} must be a JSON {what}, got {value!r}", path=path, line=lineno
+        )
+    return value
+
+
 def _parse_line_entry(obj: dict, path, lineno: int, require_lri: bool) -> LineEntry:
     try:
         entry = LineEntry(
             track_id=str(obj["track"]),
             offset_m=float(obj["offset"]),
-            continuous=bool(obj["cont"]),
-            detected=bool(obj["det"]),
-            lri=int(obj["lri"]) if "lri" in obj else None,
-            is_valid=bool(obj["valid"]) if "valid" in obj else None,
+            continuous=_strict(obj["cont"], bool, "cont", path, lineno),
+            detected=_strict(obj["det"], bool, "det", path, lineno),
+            lri=_strict(obj["lri"], int, "lri", path, lineno) if "lri" in obj else None,
+            is_valid=_strict(obj["valid"], bool, "valid", path, lineno)
+            if "valid" in obj else None,
         )
     except KeyError as exc:
         raise SequenceFormatError(f"line entry lacks field {exc}", path=path, line=lineno) from None
@@ -181,12 +195,12 @@ def _parse_line_entry(obj: dict, path, lineno: int, require_lri: bool) -> LineEn
 def _parse_frame(obj: dict, header: SequenceHeader, path, lineno: int) -> FrameRecord:
     require_lri = header.lri_source == "log"
     try:
-        frame_id = int(obj["id"])
+        frame_id = _strict(obj["id"], int, "id", path, lineno)
         timestamp = float(obj["t"])
         raw_lines = obj.get("lines", [])
         gnss = obj.get("gnss")
         gt = obj.get("gt")
-        crossing = bool(obj.get("crossing", False))
+        crossing = _strict(obj.get("crossing", False), bool, "crossing", path, lineno)
     except KeyError as exc:
         raise SequenceFormatError(f"frame lacks field {exc}", path=path, line=lineno) from None
     except (TypeError, ValueError) as exc:
@@ -196,7 +210,7 @@ def _parse_frame(obj: dict, header: SequenceHeader, path, lineno: int) -> FrameR
             raise SequenceFormatError("gnss must be [lat, lon]", path=path, line=lineno)
         gnss = (float(gnss[0]), float(gnss[1]))
     if gt is not None:
-        gt = int(gt)
+        _strict(gt, int, "gt", path, lineno)
         if not 1 <= gt <= header.n_lanes:
             raise SequenceFormatError(
                 f"gt_lane {gt} outside [1, {header.n_lanes}]", path=path, line=lineno
@@ -204,6 +218,14 @@ def _parse_frame(obj: dict, header: SequenceHeader, path, lineno: int) -> FrameR
     lines = tuple(
         _parse_line_entry(entry, path, lineno, require_lri) for entry in raw_lines
     )
+    track_ids = set()
+    for entry in lines:
+        if entry.track_id in track_ids:
+            raise SequenceFormatError(
+                f"track id {entry.track_id!r} reported twice in one frame",
+                path=path, line=lineno,
+            )
+        track_ids.add(entry.track_id)
     return FrameRecord(
         frame_id=frame_id,
         timestamp_s=timestamp,

@@ -15,8 +15,7 @@ import numpy as np
 
 from .dataset_io import FrameRecord
 from .errors import LaneHmmError
-from .inverse_sensor import LriTracker, build_tentative, compute_wor
-from .model_core import HmmParams, RuntimeConfig
+from .pipeline import EvidenceStream, tentative_matrix
 
 NO_ASSIGNMENT = None
 
@@ -67,33 +66,23 @@ class EvalResult:
 
 
 def detector_baseline(
-    frames: list[FrameRecord],
-    params: HmmParams,
-    cfg: RuntimeConfig,
-    lri_source: str = "recompute",
+    evidence: EvidenceStream, bv: float
 ) -> list[tuple[int, int | None]]:
     """Per-frame argmax of the raw tentative vector, without the filter.
 
     Emits no assignment when the counters are all zero or the argmax is
     tied: the detector alone cannot break such ties.
     """
-    n = params.n
-    estimates: list[tuple[int, int | None]] = []
-    if lri_source == "log":
-        tracked_stream = ([e.to_tracked() for e in fr.lines] for fr in frames)
-    else:
-        tracker = LriTracker(cfg)
-        tracked_stream = (
-            tracker.update([e.to_observation() for e in fr.lines]) for fr in frames
+    tentative = tentative_matrix(evidence, bv)
+    top = tentative == tentative.max(axis=1, keepdims=True)
+    decided = (top.sum(axis=1) == 1) & tentative.any(axis=1)
+    lanes = top.argmax(axis=1) + 1
+    return [
+        (frame_id, lane if ok else NO_ASSIGNMENT)
+        for frame_id, lane, ok in zip(
+            evidence.frame_ids.tolist(), lanes.tolist(), decided.tolist()
         )
-    for frame, tracked in zip(frames, tracked_stream):
-        tentative = build_tentative(tracked, params, cfg)
-        best = tentative.max()
-        if best == 0.0 or np.count_nonzero(tentative == best) > 1:
-            estimates.append((frame.frame_id, NO_ASSIGNMENT))
-        else:
-            estimates.append((frame.frame_id, int(np.argmax(tentative)) + 1))
-    return estimates
+    ]
 
 
 def evaluate(

@@ -51,13 +51,16 @@ def predict(belief: np.ndarray, lane_cpt: np.ndarray, sensor_cpt: np.ndarray) ->
     them in the model), so the joint transition factorizes:
 
         P'(l', s') = sum_{l, s} P(l, s) * lane_cpt[l, l'] * sensor_cpt[s, s']
+
+    Every argument may carry leading candidate axes, shared by all three,
+    so one call advances K parameter candidates at once.
     """
-    n = belief.shape[0]
-    if lane_cpt.shape != (n, n) or sensor_cpt.shape != (2, 2):
+    lead, n = belief.shape[:-2], belief.shape[-2]
+    if lane_cpt.shape != lead + (n, n) or sensor_cpt.shape != lead + (2, 2):
         raise ParameterError(
             f"CPT shapes {lane_cpt.shape}/{sensor_cpt.shape} do not match belief {belief.shape}"
         )
-    return lane_cpt.T @ belief @ sensor_cpt
+    return lane_cpt.swapaxes(-1, -2) @ belief @ sensor_cpt
 
 
 def update(
@@ -74,23 +77,26 @@ def update(
 
         lik(l, s) = (sum_o tentative[o] * detector_cpt[s, l, o])
                   * (sum_k wor[k] * wor_cpt[s, k])
+
+    belief, tentative and the CPTs may carry the same leading candidate
+    axes as in predict; the WOR pair is shared by all candidates.
     """
-    n = belief.shape[0]
+    lead, n = belief.shape[:-2], belief.shape[-2]
     tentative = np.asarray(tentative, dtype=float)
     if isinstance(wor, WorEvidence):
         wor = wor.as_array()
     wor = np.asarray(wor, dtype=float)
-    if tentative.shape != (n,) or detector_cpt.shape != (2, n, n):
+    if tentative.shape != lead + (n,) or detector_cpt.shape != lead + (2, n, n):
         raise ParameterError("tentative/detector CPT dimensions do not match belief")
-    if wor.shape != (2,) or wor_cpt.shape != (2, 2):
+    if wor.shape != (2,) or wor_cpt.shape != lead + (2, 2):
         raise ParameterError("WOR evidence must have two entries")
 
-    lane_term = detector_cpt @ tentative      # (2, n): sensor state, true lane
-    wor_term = wor_cpt @ wor                  # (2,)
-    likelihood = lane_term.T * wor_term       # (n, 2)
+    lane_term = (detector_cpt @ tentative[..., None, :, None])[..., 0]  # (..., 2, n): SS, lane
+    wor_term = wor_cpt @ wor                                            # (..., 2)
+    likelihood = lane_term.swapaxes(-1, -2) * wor_term[..., None, :]    # (..., n, 2)
     posterior = belief * likelihood
-    total = posterior.sum()
-    if total == 0.0:
+    total = posterior.sum(axis=(-2, -1), keepdims=True)
+    if not total.all():
         # Unreachable with open-interval parameters (all CPT entries > 0).
         raise InternalError("zero normalizer in update; parameter domain violated upstream")
     return posterior / total

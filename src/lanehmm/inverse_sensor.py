@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_core import HmmParams, RuntimeConfig
+from .model_core import RuntimeConfig
 
 MAX_LINE_OFFSET_M = 50.0
 
@@ -136,15 +136,6 @@ class LriTracker:
         return out
 
 
-def update_lri(
-    tracker: LriTracker, frame: list[RawLineObservation], cfg: RuntimeConfig
-) -> list[TrackedLine]:
-    """Functional wrapper over LriTracker.update (cfg must match the tracker's)."""
-    if cfg != tracker.cfg:
-        raise ValueError("cfg does not match the tracker's configuration")
-    return tracker.update(frame)
-
-
 def expected_boundary_offsets(lane: int, n: int, lane_width: float) -> np.ndarray:
     """Offsets of all n+1 boundary lines seen from the center of `lane`.
 
@@ -182,12 +173,17 @@ def implied_lane_from_continuous(offset_m: float, n: int, cfg: RuntimeConfig) ->
 def tentative_parts(
     lines: list[TrackedLine], n: int, cfg: RuntimeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split the tentative counters into compatibility and bonus parts.
+    """Accumulate the per-frame plausibility counters over lanes.
 
-    Returns (base, bonus): base counts the +1 compatibility votes, bonus
-    counts the continuous-line edge votes that get scaled by the bonus
-    value.  The full tentative vector is base + bv * bonus; keeping the
-    parts separate lets the tuner sweep bv without redoing the geometry.
+    Every valid line adds 1 to each lane hypothesis compatible with its
+    offset; a valid continuous line additionally adds the bonus value to
+    the single lane it implies as a road edge.  Invalid lines contribute
+    nothing.  An all-zero vector means "no information".
+
+    Returns the two parts (base, bonus): base counts the +1 compatibility
+    votes, bonus counts the continuous-line edge votes.  The tentative
+    vector is base + bv * bonus; keeping the parts separate lets the tuner
+    sweep bv without redoing the geometry.
     """
     base = np.zeros(n)
     bonus = np.zeros(n)
@@ -204,20 +200,6 @@ def tentative_parts(
     return base, bonus
 
 
-def build_tentative(
-    lines: list[TrackedLine], params: HmmParams, cfg: RuntimeConfig
-) -> np.ndarray:
-    """Accumulate the per-frame plausibility counters over lanes.
-
-    Every valid line adds 1 to each lane hypothesis compatible with its
-    offset; a valid continuous line additionally adds the bonus value to
-    the single lane it implies as a road edge.  Invalid lines contribute
-    nothing.  An all-zero vector means "no information".
-    """
-    base, bonus = tentative_parts(lines, params.n, cfg)
-    return base + params.bv * bonus
-
-
 def compute_wor(lines: list[TrackedLine], n: int, cfg: RuntimeConfig) -> WorEvidence:
     """Whole-output reliability from the LRIs of all reported lines.
 
@@ -231,9 +213,11 @@ def compute_wor(lines: list[TrackedLine], n: int, cfg: RuntimeConfig) -> WorEvid
 
 
 def normalize_tentative(tentative: np.ndarray, n: int) -> np.ndarray:
-    """Counters to a lane distribution; all-zero becomes uniform (uninformative)."""
+    """Counters to a lane distribution; all-zero becomes uniform (uninformative).
+
+    Normalizes along the last axis, so a stack of K vectors works too.
+    """
     tentative = np.asarray(tentative, dtype=float)
-    total = tentative.sum()
-    if total == 0.0:
-        return np.full(n, 1.0 / n)
-    return tentative / total
+    total = tentative.sum(axis=-1, keepdims=True)
+    empty = total == 0.0
+    return np.where(empty, 1.0 / n, tentative / np.where(empty, 1.0, total))

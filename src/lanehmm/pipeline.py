@@ -1,8 +1,9 @@
 """End-to-end composition: detector log -> evidence -> filter -> results.
 
-Also holds the precomputed evidence representation used by the tuner: the
-geometry and LRI passes do not depend on the HMM parameters (except for
-the bonus value, which enters linearly), so they run once per sequence.
+The inverse-sensor pass runs once per sequence into an EvidenceStream:
+the geometry and LRI passes do not depend on the HMM parameters (except
+for the bonus value, which enters linearly), so the filter, the
+detector-only baseline and every tuner candidate share it.
 """
 
 from __future__ import annotations
@@ -56,9 +57,14 @@ def _tracked_lines(header: SequenceHeader, frames: list[FrameRecord], cfg: Runti
 
 
 def build_evidence(
-    header: SequenceHeader, frames: list[FrameRecord], cfg: RuntimeConfig
+    header: SequenceHeader, frames: list[FrameRecord], cfg: RuntimeConfig | None = None
 ) -> EvidenceStream:
-    """Run the inverse sensor model over a whole sequence."""
+    """Run the inverse sensor model over a whole sequence.
+
+    `cfg` defaults to the standard thresholds at the header's lane width.
+    """
+    if cfg is None:
+        cfg = RuntimeConfig(lane_width=header.lane_width_m)
     n = header.n_lanes
     T = len(frames)
     frame_ids = np.empty(T, dtype=int)
@@ -80,42 +86,45 @@ def build_evidence(
     )
 
 
+def tentative_matrix(evidence: EvidenceStream, bv, rows=slice(None)) -> np.ndarray:
+    """The tentative vectors `base + bv * bonus` of the selected frames.
+
+    Shape (T, n) for one bonus value over all frames; for one frame index
+    and a (K, 1) column of bonus values, that frame's K vectors, (K, n).
+    """
+    return evidence.base[rows] + bv * evidence.bonus[rows]
+
+
+def wor_matrix(evidence: EvidenceStream) -> np.ndarray:
+    """The WOR pair (OK, BAD) of every frame, shape (T, 2)."""
+    return np.stack([evidence.wor_frac, 1.0 - evidence.wor_frac], axis=1)
+
+
 def run_sequence(
-    header: SequenceHeader,
-    frames: list[FrameRecord],
+    evidence: EvidenceStream,
     params: HmmParams,
-    cfg: RuntimeConfig | None = None,
     prior: np.ndarray | None = None,
 ) -> list[ResultRecord]:
-    """Filter a sequence frame by frame and collect per-frame estimates."""
-    if cfg is None:
-        cfg = RuntimeConfig(lane_width=header.lane_width_m)
-    if params.n != header.n_lanes:
+    """Filter a sequence's evidence frame by frame and collect per-frame estimates."""
+    if params.n != evidence.n:
         raise ConfigError(
             f"parameter lane count {params.n} conflicts with sequence lane count "
-            f"{header.n_lanes}"
+            f"{evidence.n}"
         )
     lane_filter = LaneFilter(params, prior=prior)
-    n = params.n
+    tentative = tentative_matrix(evidence, params.bv)
+    wor = wor_matrix(evidence)
     results = []
-    for frame, tracked in _tracked_lines(header, frames, cfg):
-        base, bonus_counts = tentative_parts(tracked, n, cfg)
-        tentative = base + params.bv * bonus_counts
-        wor = compute_wor(tracked, n, cfg)
-        estimate = lane_filter.step(normalize_tentative(tentative, n), wor)
+    for t, frame_id in enumerate(evidence.frame_ids.tolist()):
+        estimate = lane_filter.step(normalize_tentative(tentative[t], params.n), wor[t])
         results.append(
             ResultRecord(
-                frame_id=frame.frame_id,
+                frame_id=frame_id,
                 map_lane=estimate.map_lane,
-                lane_marginal=tuple(float(x) for x in estimate.lane_marginal),
+                lane_marginal=tuple(estimate.lane_marginal.tolist()),
                 sensor_ok_prob=estimate.sensor_ok_prob,
-                tentative=tuple(float(x) for x in tentative),
-                wor_frac=wor.ok,
+                tentative=tuple(tentative[t].tolist()),
+                wor_frac=float(evidence.wor_frac[t]),
             )
         )
     return results
-
-
-def tentative_matrix(evidence: EvidenceStream, bv: float) -> np.ndarray:
-    """All tentative vectors of a sequence for one bonus value, shape (T, n)."""
-    return evidence.base + bv * evidence.bonus

@@ -9,16 +9,22 @@ bonus value, so it runs once per sequence and all candidates share it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptyObjectiveError, ParameterError
 from .evaluation import evaluate
-from .model_core import HmmParams, RuntimeConfig, build_detector_cpt, build_lane_cpt, \
-    build_sensor_cpt, build_wor_cpt
-from .pipeline import EvidenceStream, build_evidence, run_sequence
+from .filtering import init_belief, predict, update
+from .inverse_sensor import normalize_tentative
+from .model_core import CptSet, HmmParams, RuntimeConfig
+from .pipeline import (
+    EvidenceStream,
+    build_evidence,
+    run_sequence,
+    tentative_matrix,
+    wor_matrix,
+)
 
 Sequence = tuple  # (SequenceHeader, list[FrameRecord])
 
@@ -64,51 +70,40 @@ def _common_lane_count(sequences: list[Sequence]) -> int:
 def _evidence_list(
     sequences: list[Sequence], cfg: RuntimeConfig | None
 ) -> list[EvidenceStream]:
-    out = []
-    for header, frames in sequences:
-        seq_cfg = cfg if cfg is not None else RuntimeConfig(lane_width=header.lane_width_m)
-        out.append(build_evidence(header, list(frames), seq_cfg))
-    return out
+    return [build_evidence(header, list(frames), cfg) for header, frames in sequences]
 
 
 def _batch_accuracy(
     candidates: list[HmmParams], evidence: list[EvidenceStream]
 ) -> np.ndarray:
-    """Accuracy of every candidate on the pooled evidence, in one sweep."""
-    K = len(candidates)
-    n = candidates[0].n
-    lane_cpts = np.stack([build_lane_cpt(p) for p in candidates])        # (K, n, n)
-    sensor_cpts = np.stack([build_sensor_cpt(p) for p in candidates])    # (K, 2, 2)
-    det_cpts = np.stack([build_detector_cpt(p) for p in candidates])     # (K, 2, n, n)
-    wor_cpts = np.stack([build_wor_cpt(p) for p in candidates])          # (K, 2, 2)
-    bv = np.array([p.bv for p in candidates])
+    """Accuracy of every candidate on the pooled evidence, in one sweep.
 
-    correct = np.zeros(K, dtype=int)
+    The K candidates run through the same predict/update as LaneFilter,
+    stacked along a leading axis, so each candidate's MAP stream is the
+    one run_sequence would produce.
+    """
+    n = candidates[0].n
+    cpts = [CptSet.from_params(p) for p in candidates]
+    lane_cpts = np.stack([c.lane for c in cpts])          # (K, n, n)
+    sensor_cpts = np.stack([c.sensor for c in cpts])      # (K, 2, 2)
+    det_cpts = np.stack([c.detector for c in cpts])       # (K, 2, n, n)
+    wor_cpts = np.stack([c.wor for c in cpts])            # (K, 2, 2)
+    bv = np.array([[p.bv] for p in candidates])           # (K, 1)
+
+    correct = np.zeros(len(candidates), dtype=int)
     evaluated = 0
     for ev in evidence:
         if ev.n != n:
             raise ConfigError(f"evidence lane count {ev.n} != parameter lane count {n}")
-        belief = np.full((K, n, 2), 1.0 / (2 * n))
+        belief = np.stack([init_belief(p) for p in candidates])  # (K, n, 2)
+        wor = wor_matrix(ev)
         for t in range(len(ev)):
-            tentative = ev.base[t][None, :] + bv[:, None] * ev.bonus[t][None, :]
-            sums = tentative.sum(axis=1)
-            informative = sums > 0.0
-            tvn = np.full((K, n), 1.0 / n)
-            if informative.any():
-                tvn[informative] = tentative[informative] / sums[informative, None]
-            wor = np.array([ev.wor_frac[t], 1.0 - ev.wor_frac[t]])
-
-            belief = np.einsum("klm,kls->kms", lane_cpts, belief)
-            belief = np.einsum("kms,kst->kmt", belief, sensor_cpts)
-            lane_term = np.einsum("kslo,ko->ksl", det_cpts, tvn)
-            wor_term = wor_cpts @ wor
-            belief *= lane_term.transpose(0, 2, 1) * wor_term[:, None, :]
-            belief /= belief.sum(axis=(1, 2), keepdims=True)
-
+            tvn = normalize_tentative(tentative_matrix(ev, bv, t), n)
+            belief = predict(belief, lane_cpts, sensor_cpts)
+            belief = update(belief, tvn, wor[t], det_cpts, wor_cpts)
             gt = ev.gt_lane[t]
             if gt > 0 and not ev.crossing[t]:
-                pred = belief.sum(axis=2).argmax(axis=1) + 1
-                correct += pred == gt
+                correct += belief.sum(axis=-1).argmax(axis=-1) + 1 == gt
                 evaluated += 1
     if evaluated == 0:
         raise EmptyObjectiveError("no annotated non-crossing frames to score")
@@ -127,7 +122,7 @@ def objective(
     total_evaluated = 0
     for header, frames in sequences:
         frames = list(frames)
-        results = run_sequence(header, frames, params, cfg)
+        results = run_sequence(build_evidence(header, frames, cfg), params)
         estimates = [(r.frame_id, r.map_lane) for r in results]
         result = evaluate(estimates, frames, header.n_lanes)
         total_correct += result.correct
@@ -137,30 +132,12 @@ def objective(
     return total_correct / total_evaluated
 
 
-def _chunked_accuracy(
-    candidates: list[HmmParams], evidence: list[EvidenceStream], jobs: int
-) -> np.ndarray:
-    if jobs <= 1 or len(candidates) <= 1:
-        return _batch_accuracy(candidates, evidence)
-    chunks = np.array_split(np.arange(len(candidates)), min(jobs, len(candidates)))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(
-            pool.map(
-                lambda idx: _batch_accuracy([candidates[i] for i in idx], evidence),
-                [chunk for chunk in chunks if len(chunk)],
-            )
-        )
-    # Collected in chunk order, i.e. by trial index, not completion order.
-    return np.concatenate(parts)
-
-
 def random_search(
     space: SearchSpace,
     sequences: list[Sequence],
     budget: int,
     seed: int,
     cfg: RuntimeConfig | None = None,
-    jobs: int = 1,
 ) -> TunerResult:
     """Uniform random candidates over the space; deterministic given seed."""
     if budget < 1:
@@ -185,7 +162,7 @@ def random_search(
         for i in range(budget)
     ]
     evidence = _evidence_list(sequences, cfg)
-    accuracies = _chunked_accuracy(candidates, evidence, jobs)
+    accuracies = _batch_accuracy(candidates, evidence)
     best = int(np.argmax(accuracies))
     return TunerResult(
         best_params=candidates[best],

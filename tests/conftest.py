@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from lanehmm.inverse_sensor import tentative_parts
 from lanehmm.model_core import HmmParams, RuntimeConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -32,3 +33,9 @@ def random_params(rng: np.random.Generator, n: int, sigma_lo: float = 0.05) -> H
         p4=float(rng.uniform(0.01, 0.999)),
         bv=float(rng.integers(0, 11)),
     )
+
+
+def tentative(lines, params: HmmParams, cfg: RuntimeConfig) -> np.ndarray:
+    """One frame's full tentative vector, base + bv * bonus."""
+    base, bonus = tentative_parts(lines, params.n, cfg)
+    return base + params.bv * bonus

@@ -18,15 +18,14 @@ from lanehmm.inverse_sensor import (
     RawLineObservation,
     TrackedLine,
     WorEvidence,
-    build_tentative,
     compute_wor,
     normalize_tentative,
 )
-from lanehmm.model_core import CptSet, HmmParams, RuntimeConfig, load_preset
-from lanehmm.pipeline import run_sequence
+from lanehmm.model_core import CptSet, HmmParams, load_preset
+from lanehmm.pipeline import build_evidence, run_sequence
 from lanehmm.simulator import SimConfig, inject_burst, simulate
 
-from conftest import random_params
+from conftest import random_params, tentative
 from oracles import enumerate_posterior
 
 CRITERION5_SIM3 = SimConfig(
@@ -59,12 +58,12 @@ def tuned_runs():
 def test_criterion_1_single_line_lane_ambiguity(params3, cfg):
     line = TrackedLine(track_id="arrow", offset_m=-5.25, continuous=False,
                        lri=10, is_valid=True)
-    tentative = build_tentative([line], params3, cfg)
-    normalized = normalize_tentative(tentative, 3)
-    assert np.array_equal(tentative, [0.0, 1.0, 1.0])
+    tv = tentative([line], params3, cfg)
+    normalized = normalize_tentative(tv, 3)
+    assert np.array_equal(tv, [0.0, 1.0, 1.0])
     assert np.array_equal(normalized, [0.0, 0.5, 0.5])
     t0 = time.perf_counter()
-    normalize_tentative(build_tentative([line], params3, cfg), 3)
+    normalize_tentative(tentative([line], params3, cfg), 3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1e-3
     report(1, f"tentative [0,1,1] -> [0,0.5,0.5] in {elapsed * 1e6:.0f} us")
@@ -177,13 +176,13 @@ def test_criterion_5_model_beats_detector(tuned_runs):
     deltas = {}
     for label in ("3-lane", "4-lane"):
         config, header, frames, params = tuned_runs[label]
-        cfg = RuntimeConfig(lane_width=header.lane_width_m)
-        results = run_sequence(header, frames, params, cfg)
+        evidence = build_evidence(header, frames)
+        results = run_sequence(evidence, params)
         model = evaluation.evaluate(
             [(r.frame_id, r.map_lane) for r in results], frames, config.n_lanes
         )
         baseline = evaluation.evaluate(
-            evaluation.detector_baseline(frames, params, cfg), frames, config.n_lanes
+            evaluation.detector_baseline(evidence, params.bv), frames, config.n_lanes
         )
         delta = model.accuracy - baseline.accuracy
         deltas[label] = (model.accuracy, baseline.accuracy, delta)
@@ -224,7 +223,7 @@ def test_criterion_6_missed_transition_recovery():
             return None
         new_lane = int(truth.gt_lane[start + 8])
         blinded = inject_burst(frames, dropout_start, 10, "dropout")
-        results = run_sequence(header, blinded, params)
+        results = run_sequence(build_evidence(header, blinded), params)
         return any(r.map_lane == new_lane for r in results[resume:probe_end])
 
     successes = 0

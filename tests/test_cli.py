@@ -95,6 +95,20 @@ def test_run_missing_file_is_input_error(capsys):
     assert "error" in stderr
 
 
+def test_run_duplicate_track_id_is_input_error(capsys, tmp_path):
+    line = {"track": "b0", "offset": -1.75, "cont": True, "det": True}
+    path = tmp_path / "dup_track.seq"
+    path.write_text('{"format": 1, "n_lanes": 3}\n'
+                    + json.dumps({"id": 0, "t": 0.0, "lines": [line, line]}) + "\n")
+    code, stdout, stderr = run_cli(
+        capsys, "run", "--input", str(path), "--preset", "spain-run06"
+    )
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert f"{path}:2: track id 'b0' reported twice" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_run_requires_exactly_one_source(capsys, sim3):
     code, _, _ = run_cli(capsys, "run", "--preset", "spain-run06")
     assert code == cli.EXIT_CONFIG

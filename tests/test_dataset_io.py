@@ -104,6 +104,51 @@ def test_log_source_requires_lri_fields(tmp_path):
         list(frames)
 
 
+@pytest.mark.parametrize("lri_source", ["recompute", "log"])
+def test_duplicate_track_id_in_frame_reports_line(tmp_path, lri_source):
+    line = {"track": "b0", "offset": -1.75, "cont": True, "det": True,
+            "lri": 10, "valid": True}
+    path = tmp_path / "dup_track.seq"
+    path.write_text(
+        json.dumps({"format": 1, "n_lanes": 3, "lri_source": lri_source}) + "\n"
+        + json.dumps({"id": 0, "t": 0.0, "lines": [line]}) + "\n"
+        + json.dumps({"id": 1, "t": 0.1, "lines": [line, dict(line, offset=1.75)]}) + "\n"
+    )
+    header, frames = read_sequence(path)
+    with pytest.raises(SequenceFormatError, match=r":3: track id 'b0' reported twice"):
+        list(frames)
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("line", "cont", "false"),
+        ("line", "det", "no"),
+        ("line", "det", 1),
+        ("line", "valid", "true"),
+        ("line", "lri", 7.0),
+        ("line", "lri", True),
+        ("frame", "crossing", 0),
+        ("frame", "crossing", "false"),
+        ("frame", "id", 2.5),
+        ("frame", "id", "2"),
+        ("frame", "gt", 2.9),
+        ("frame", "gt", True),
+    ],
+)
+def test_reader_is_type_strict(tmp_path, where, field, value):
+    line = {"track": "b0", "offset": -1.75, "cont": True, "det": True,
+            "lri": 10, "valid": True}
+    frame = {"id": 2, "t": 0.0, "lines": [line], "gt": 2, "crossing": False}
+    (line if where == "line" else frame)[field] = value
+    path = tmp_path / "typed.seq"
+    path.write_text('{"format": 1, "n_lanes": 3, "lri_source": "log"}\n'
+                    + json.dumps(frame) + "\n")
+    header, frames = read_sequence(path)
+    with pytest.raises(SequenceFormatError, match=f":2: {field} must be a JSON"):
+        list(frames)
+
+
 # --- round trips ----------------------------------------------------------------
 
 def test_sequence_round_trip(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lanehmm.dataset_io import FrameRecord, LineEntry
+from lanehmm.dataset_io import FrameRecord, LineEntry, SequenceHeader
 from lanehmm.errors import LaneHmmError
 from lanehmm.evaluation import (
     compare,
@@ -12,6 +12,7 @@ from lanehmm.evaluation import (
     make_timeline,
 )
 from lanehmm.model_core import HmmParams
+from lanehmm.pipeline import build_evidence
 
 
 def frame(fid, gt=None, crossing=False, lines=()):
@@ -24,34 +25,57 @@ def logged_line(offset, continuous=False, valid=True, lri=10):
                      detected=True, lri=lri, is_valid=valid)
 
 
+def baseline(frames, params, cfg, lri_source="recompute"):
+    header = SequenceHeader(n_lanes=params.n, lri_source=lri_source)
+    return detector_baseline(build_evidence(header, frames, cfg), params.bv)
+
+
 # --- detector baseline --------------------------------------------------------
 
 def test_baseline_tie_is_no_assignment(params3, cfg):
     frames = [frame(0, lines=[logged_line(-5.25)])]
-    estimates = detector_baseline(frames, params3, cfg, lri_source="log")
+    estimates = baseline(frames, params3, cfg, lri_source="log")
     assert estimates == [(0, None)]  # tentative [0,1,1] is tied
 
 
 def test_baseline_bonus_breaks_tie(cfg):
     params = HmmParams(n=3, sigma1=0.4, sigma2=0.4, p1=0.9, p2=0.9, p3=0.8, p4=0.8, bv=7)
     frames = [frame(0, lines=[logged_line(-1.75, continuous=True)])]
-    estimates = detector_baseline(frames, params, cfg, lri_source="log")
+    estimates = baseline(frames, params, cfg, lri_source="log")
     assert estimates == [(0, 1)]  # tentative [8,1,1]
 
 
 def test_baseline_empty_frame_is_no_assignment(params3, cfg):
-    assert detector_baseline([frame(0)], params3, cfg) == [(0, None)]
+    assert baseline([frame(0)], params3, cfg) == [(0, None)]
 
 
 def test_baseline_recomputes_lri_by_default(params3, cfg):
     line = LineEntry(track_id="a", offset_m=-5.25, continuous=False, detected=True)
     frames = [frame(i, lines=[line]) for i in range(12)]
-    estimates = detector_baseline(frames, params3, cfg)
+    estimates = baseline(frames, params3, cfg)
     # Under recompute the line only becomes valid once the window fills.
     assert estimates[0] == (0, None)
     assert estimates[-1] == (11, None)  # [0,1,1] tie once valid
     frames2 = [frame(i, lines=[logged_line(-8.75)]) for i in range(2)]
-    assert detector_baseline(frames2, params3, cfg, lri_source="log") == [(0, 3), (1, 3)]
+    assert baseline(frames2, params3, cfg, lri_source="log") == [(0, 3), (1, 3)]
+
+
+def test_baseline_matches_per_frame_argmax(cfg):
+    from lanehmm.simulator import SimConfig, simulate
+
+    header, frames, _ = simulate(SimConfig(n_lanes=4, duration_frames=600, seed=54,
+                                           offset_noise_sd_m=0.4, fail_prob=0.1))
+    evidence = build_evidence(header, frames, cfg)
+    for bv in (0.0, 1.0, 7.0):
+        expected = []
+        for t in range(len(evidence)):
+            tv = evidence.base[t] + bv * evidence.bonus[t]
+            best = tv.max()
+            tied = best == 0.0 or np.count_nonzero(tv == best) > 1
+            expected.append((frames[t].frame_id, None if tied else int(np.argmax(tv)) + 1))
+        assert detector_baseline(evidence, bv) == expected
+        assert any(lane is None for _, lane in expected)
+        assert any(lane is not None for _, lane in expected)
 
 
 # --- evaluate -------------------------------------------------------------------

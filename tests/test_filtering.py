@@ -279,3 +279,43 @@ def test_tentative_scale_invariance(params3):
         scaled = update(belief, normalize_tentative(scale * raw, 3),
                         WorEvidence(0.7, 0.3), cpts.detector, cpts.wor)
         assert np.allclose(scaled, reference, rtol=0, atol=1e-12)
+
+
+# --- candidate axis ------------------------------------------------------------------
+
+def test_candidate_axis_is_bitwise_k_single_filters():
+    # The tuner's sweep stacks K candidates; each must follow exactly the
+    # path its own LaneFilter takes, or the sweep and the reference route
+    # can disagree on near-tied MAP decisions.
+    from lanehmm.inverse_sensor import normalize_tentative
+
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 3, 4, 5):
+        candidates = [random_params(rng, n) for _ in range(6)]
+        filters = [LaneFilter(p) for p in candidates]
+
+        def stack(name):
+            return np.stack([getattr(f.cpts, name) for f in filters])
+
+        belief = np.stack([init_belief(p) for p in candidates])
+        for _ in range(40):
+            raw = rng.integers(0, 4, (len(candidates), n)).astype(float)
+            tvn = normalize_tentative(raw, n)
+            frac = float(rng.uniform(0.0, 1.0))
+            wor = np.array([frac, 1.0 - frac])
+            belief = predict(belief, stack("lane"), stack("sensor"))
+            belief = update(belief, tvn, wor, stack("detector"), stack("wor"))
+            for k, lane_filter in enumerate(filters):
+                assert np.array_equal(tvn[k], normalize_tentative(raw[k], n))
+                lane_filter.step(tvn[k], wor)
+                assert belief[k].tobytes() == lane_filter.belief.tobytes()
+
+
+def test_candidate_axis_shapes_must_agree(params3):
+    cpts = CptSet.from_params(params3)
+    belief = np.stack([init_belief(params3)] * 2)
+    with pytest.raises(ParameterError):
+        predict(belief, cpts.lane, np.stack([cpts.sensor] * 2))
+    with pytest.raises(ParameterError):
+        update(belief, np.full((2, 3), 1 / 3), np.array([0.5, 0.5]),
+               np.stack([cpts.detector] * 3), np.stack([cpts.wor] * 2))

@@ -5,16 +5,16 @@ from lanehmm.inverse_sensor import (
     LriTracker,
     RawLineObservation,
     TrackedLine,
-    build_tentative,
     compute_wor,
     expected_boundary_offsets,
     implied_lane_from_continuous,
     line_compatible,
     normalize_tentative,
     tentative_parts,
-    update_lri,
 )
-from lanehmm.model_core import HmmParams, RuntimeConfig
+from lanehmm.model_core import HmmParams
+
+from conftest import tentative
 
 
 def obs(track, detected, offset=0.0, continuous=False):
@@ -81,13 +81,6 @@ def test_absent_track_decays_and_must_requalify(cfg):
         tracker.update([])
     (line,) = tracker.update([obs("a", True)])
     assert line.lri == 1 and not line.is_valid
-
-
-def test_update_lri_wrapper_checks_cfg(cfg):
-    tracker = LriTracker(cfg)
-    assert update_lri(tracker, [obs("a", True)], cfg)[0].lri == 1
-    with pytest.raises(ValueError):
-        update_lri(tracker, [], RuntimeConfig(lri_window=5))
 
 
 def test_duplicate_track_in_frame_rejected(cfg):
@@ -173,15 +166,15 @@ def test_implied_lane_examples(cfg):
 # --- tentative vector -----------------------------------------------------------
 
 def test_single_dashed_line_votes_adjacent_lanes(params3, cfg):
-    tentative = build_tentative([valid_line(-5.25)], params3, cfg)
-    assert np.array_equal(tentative, [0, 1, 1])
-    assert np.array_equal(normalize_tentative(tentative, 3), [0, 0.5, 0.5])
+    tv = tentative([valid_line(-5.25)], params3, cfg)
+    assert np.array_equal(tv, [0, 1, 1])
+    assert np.array_equal(normalize_tentative(tv, 3), [0, 0.5, 0.5])
 
 
 def test_no_valid_lines_gives_zero_vector(params3, cfg):
-    assert np.array_equal(build_tentative([], params3, cfg), [0, 0, 0])
+    assert np.array_equal(tentative([], params3, cfg), [0, 0, 0])
     invalid = valid_line(-5.25, ok=False, lri=3)
-    assert np.array_equal(build_tentative([invalid], params3, cfg), [0, 0, 0])
+    assert np.array_equal(tentative([invalid], params3, cfg), [0, 0, 0])
 
 
 def test_continuous_line_gets_bonus(cfg):
@@ -189,8 +182,8 @@ def test_continuous_line_gets_bonus(cfg):
     # A line half a lane-width to the left matches a boundary of every lane
     # hypothesis (road edge for lane 1, an interior boundary otherwise), so
     # each lane gets a compatibility vote; the bonus singles out lane 1.
-    tentative = build_tentative([valid_line(-1.75, continuous=True)], params, cfg)
-    assert np.array_equal(tentative, [8, 1, 1])
+    tv = tentative([valid_line(-1.75, continuous=True)], params, cfg)
+    assert np.array_equal(tv, [8, 1, 1])
 
 
 def test_tentative_order_invariant(params3, cfg):
@@ -201,10 +194,10 @@ def test_tentative_order_invariant(params3, cfg):
                        ok=bool(rng.integers(2)))
             for _ in range(rng.integers(0, 6))
         ]
-        expected = build_tentative(lines, params3, cfg)
+        expected = tentative(lines, params3, cfg)
         shuffled = list(lines)
         rng.shuffle(shuffled)
-        assert np.array_equal(build_tentative(shuffled, params3, cfg), expected)
+        assert np.array_equal(tentative(shuffled, params3, cfg), expected)
 
 
 def test_tentative_counters_bounded(params3, cfg):
@@ -214,8 +207,8 @@ def test_tentative_counters_bounded(params3, cfg):
             valid_line(float(rng.uniform(-12, 12)), continuous=bool(rng.integers(2)))
             for _ in range(rng.integers(0, 6))
         ]
-        tentative = build_tentative(lines, params3, cfg)
-        assert np.all(tentative <= len(lines) * (1 + params3.bv))
+        tv = tentative(lines, params3, cfg)
+        assert np.all(tv <= len(lines) * (1 + params3.bv))
 
 
 def test_tentative_parts_decomposition(cfg):
@@ -227,11 +220,15 @@ def test_tentative_parts_decomposition(cfg):
                        ok=bool(rng.integers(2)))
             for _ in range(rng.integers(0, 6))
         ]
+        valid = [line for line in lines if line.is_valid]
         base, bonus = tentative_parts(lines, n, cfg)
-        for bv in (0.0, 1.0, 4.0, 9.0):
-            params = HmmParams(n=n, sigma1=0.4, sigma2=0.4, p1=0.9, p2=0.9,
-                               p3=0.8, p4=0.8, bv=bv)
-            assert np.array_equal(build_tentative(lines, params, cfg), base + bv * bonus)
+        for lane in range(1, n + 1):
+            assert base[lane - 1] == sum(
+                line_compatible(line.offset_m, lane, n, cfg) for line in valid
+            )
+        assert bonus.sum() == sum(
+            line.continuous and line.offset_m != 0.0 for line in valid
+        )
 
 
 # --- WOR -------------------------------------------------------------------------

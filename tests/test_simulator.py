@@ -105,7 +105,9 @@ def test_geometry_matches_inverse_sensor(cfg):
 
 
 def test_tentative_argmax_equals_gt_on_clean_frames(cfg, params3):
-    from lanehmm.inverse_sensor import LriTracker, build_tentative
+    from lanehmm.inverse_sensor import LriTracker
+
+    from conftest import tentative
 
     config = SimConfig(n_lanes=3, duration_frames=400, lane_change_prob=0.005,
                        lane_change_duration=8, fail_prob=0.0, detect_prob_ok=1.0,
@@ -114,10 +116,10 @@ def test_tentative_argmax_equals_gt_on_clean_frames(cfg, params3):
     tracker = LriTracker(cfg)
     for t, frame in enumerate(frames):
         tracked = tracker.update([e.to_observation() for e in frame.lines])
-        tentative = build_tentative(tracked, params3, cfg)
+        tv = tentative(tracked, params3, cfg)
         if t < cfg.lri_window or frame.crossing:
             continue  # lines not yet valid / ambiguous mid-change
-        assert int(np.argmax(tentative)) + 1 == frame.gt_lane
+        assert int(np.argmax(tv)) + 1 == frame.gt_lane
 
 
 def test_gnss_track_when_origin_given():
