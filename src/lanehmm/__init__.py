@@ -13,7 +13,6 @@ from .dataset_io import (
     SequenceHeader,
     read_results,
     read_sequence,
-    validate_sequence,
     write_results,
     write_sequence,
 )
@@ -31,7 +30,6 @@ from .inverse_sensor import (
     LriTracker,
     RawLineObservation,
     TrackedLine,
-    WorEvidence,
     compute_wor,
     expected_boundary_offsets,
     implied_lane_from_continuous,

@@ -169,14 +169,12 @@ def cmd_run(args) -> int:
     if annotated or args.trace:
         estimates = [(r.frame_id, r.map_lane) for r in results]
         baseline = evaluation.detector_baseline(evidence, params.bv)
-        timeline = evaluation.make_timeline(frames, estimates, baseline)
         if args.trace:
-            _write_timeline(args.trace, timeline)
+            _write_timeline(args.trace, evaluation.make_timeline(frames, estimates, baseline))
     if annotated:
         report = evaluation.compare(
             evaluation.evaluate(estimates, frames, n_lanes),
             evaluation.evaluate(baseline, frames, n_lanes),
-            timeline,
         )
         summary["metrics"] = report.to_dict()
         _eprint(report.render_text())
@@ -276,11 +274,10 @@ def cmd_evaluate(args) -> int:
         evidence = pipeline.build_evidence(truth_header, frames, cfg)
         baseline = evaluation.detector_baseline(evidence, params.bv)
         baseline_eval = evaluation.evaluate(baseline, frames, n)
-        timeline = evaluation.make_timeline(frames, estimates, baseline)
-        report = evaluation.compare(model_eval, baseline_eval, timeline)
+        report = evaluation.compare(model_eval, baseline_eval)
         summary["metrics"] = report.to_dict()
         if args.trace:
-            _write_timeline(args.trace, timeline)
+            _write_timeline(args.trace, evaluation.make_timeline(frames, estimates, baseline))
         _eprint(report.render_text())
     _emit(summary)
     return EXIT_OK

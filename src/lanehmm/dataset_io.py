@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -154,16 +154,21 @@ def _parse_header(obj: dict, path, lineno: int, expect_content: str) -> Sequence
 
 
 def _strict(value, kind: type, name: str, path, lineno: int):
-    """`value` unchanged if it is exactly a JSON `kind` (bool or int).
+    """`value` if it is exactly a JSON `kind`: bool, int, or for `float`
+    any finite JSON number (returned as a float).
 
-    No coercion: "false" is not a boolean and 2.9 is not a lane index.
+    No coercion: "false" is not a boolean, 2.9 is not a lane index and
+    "1.5" or NaN is not a timestamp.
     """
-    if type(value) is not kind:
-        what = "boolean" if kind is bool else "integer"
-        raise SequenceFormatError(
-            f"{name} must be a JSON {what}, got {value!r}", path=path, line=lineno
-        )
-    return value
+    if kind is float:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    elif type(value) is kind:
+        return value
+    what = {bool: "boolean", int: "integer", float: "finite number"}[kind]
+    raise SequenceFormatError(
+        f"{name} must be a JSON {what}, got {value!r}", path=path, line=lineno
+    )
 
 
 def _parse_line_entry(obj: dict, path, lineno: int, require_lri: bool) -> LineEntry:
@@ -196,7 +201,7 @@ def _parse_frame(obj: dict, header: SequenceHeader, path, lineno: int) -> FrameR
     require_lri = header.lri_source == "log"
     try:
         frame_id = _strict(obj["id"], int, "id", path, lineno)
-        timestamp = float(obj["t"])
+        timestamp = _strict(obj["t"], float, "t", path, lineno)
         raw_lines = obj.get("lines", [])
         gnss = obj.get("gnss")
         gt = obj.get("gt")
@@ -208,7 +213,7 @@ def _parse_frame(obj: dict, header: SequenceHeader, path, lineno: int) -> FrameR
     if gnss is not None:
         if not (isinstance(gnss, list) and len(gnss) == 2):
             raise SequenceFormatError("gnss must be [lat, lon]", path=path, line=lineno)
-        gnss = (float(gnss[0]), float(gnss[1]))
+        gnss = tuple(_strict(x, float, "gnss", path, lineno) for x in gnss)
     if gt is not None:
         _strict(gt, int, "gt", path, lineno)
         if not 1 <= gt <= header.n_lanes:
@@ -340,6 +345,12 @@ def write_results(
 
 
 def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
+    """Read a results file as strictly as a sequence file.
+
+    `id` and `map_lane` must be JSON integers, `map_lane` must lie in
+    [1, n_lanes], ids must strictly increase and every float must be
+    finite; any failure is a SequenceFormatError with the line number.
+    """
     path = Path(path)
     lines = _content_lines(path)
     try:
@@ -350,118 +361,33 @@ def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
     records = []
     for lineno, raw in lines:
         obj = _parse_json_line(raw, path, lineno)
+
+        def strict(value, kind, name):
+            return _strict(value, kind, name, path, lineno)
+
         try:
-            records.append(
-                ResultRecord(
-                    frame_id=int(obj["id"]),
-                    map_lane=int(obj["map_lane"]),
-                    lane_marginal=tuple(float(x) for x in obj["marginal"]),
-                    sensor_ok_prob=float(obj["sensor_ok"]),
-                    tentative=tuple(float(x) for x in obj["tentative"]),
-                    wor_frac=float(obj["wor"]),
-                )
+            record = ResultRecord(
+                frame_id=strict(obj["id"], int, "id"),
+                map_lane=strict(obj["map_lane"], int, "map_lane"),
+                lane_marginal=tuple(strict(x, float, "marginal") for x in obj["marginal"]),
+                sensor_ok_prob=strict(obj["sensor_ok"], float, "sensor_ok"),
+                tentative=tuple(strict(x, float, "tentative") for x in obj["tentative"]),
+                wor_frac=strict(obj["wor"], float, "wor"),
             )
         except KeyError as exc:
             raise SequenceFormatError(f"result lacks field {exc}", path=path, line=lineno) from None
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise SequenceFormatError(f"bad result field: {exc}", path=path, line=lineno) from None
+        if not 1 <= record.map_lane <= header.n_lanes:
+            raise SequenceFormatError(
+                f"map_lane {record.map_lane} outside [1, {header.n_lanes}]",
+                path=path, line=lineno,
+            )
+        if records and record.frame_id <= records[-1].frame_id:
+            raise SequenceFormatError(
+                f"frame ids not strictly increasing ({record.frame_id} after "
+                f"{records[-1].frame_id})",
+                path=path, line=lineno,
+            )
+        records.append(record)
     return header, records
-
-
-# --- validation -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    severity: str  # "error" | "warning"
-    message: str
-    frame_id: int | None = None
-
-    def to_dict(self) -> dict:
-        return {"severity": self.severity, "message": self.message, "frame_id": self.frame_id}
-
-
-@dataclass
-class ValidationReport:
-    n_frames: int = 0
-    crossing_fraction: float = 0.0
-    zero_line_fraction: float = 0.0
-    gt_fraction: float = 0.0
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(issue.severity == "error" for issue in self.issues)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_frames": self.n_frames,
-            "crossing_fraction": self.crossing_fraction,
-            "zero_line_fraction": self.zero_line_fraction,
-            "gt_fraction": self.gt_fraction,
-            "ok": self.ok,
-            "issues": [issue.to_dict() for issue in self.issues],
-        }
-
-
-def validate_sequence(
-    header: SequenceHeader, frames: Iterable[FrameRecord]
-) -> ValidationReport:
-    """Check stream invariants and collect basic statistics.
-
-    Works on in-memory records, so it can diagnose streams that the strict
-    reader would reject (e.g. duplicate ids, reported with both stream
-    positions).
-    """
-    report = ValidationReport()
-    seen: dict[int, int] = {}
-    last_id = None
-    n_crossing = 0
-    n_zero_lines = 0
-    n_gt = 0
-    for pos, frame in enumerate(frames):
-        report.n_frames += 1
-        if frame.frame_id in seen:
-            report.issues.append(
-                ValidationIssue(
-                    "error",
-                    f"duplicate frame_id {frame.frame_id} at stream positions "
-                    f"{seen[frame.frame_id]} and {pos}",
-                    frame_id=frame.frame_id,
-                )
-            )
-        else:
-            seen[frame.frame_id] = pos
-            if last_id is not None and frame.frame_id < last_id:
-                report.issues.append(
-                    ValidationIssue(
-                        "error",
-                        f"frame ids not increasing ({frame.frame_id} after {last_id})",
-                        frame_id=frame.frame_id,
-                    )
-                )
-        last_id = frame.frame_id
-        if frame.gt_lane is not None:
-            n_gt += 1
-            if not 1 <= frame.gt_lane <= header.n_lanes:
-                report.issues.append(
-                    ValidationIssue(
-                        "error",
-                        f"gt_lane {frame.gt_lane} outside [1, {header.n_lanes}]",
-                        frame_id=frame.frame_id,
-                    )
-                )
-        if frame.crossing:
-            n_crossing += 1
-        if not any(entry.detected for entry in frame.lines):
-            n_zero_lines += 1
-    if report.n_frames:
-        report.crossing_fraction = n_crossing / report.n_frames
-        report.zero_line_fraction = n_zero_lines / report.n_frames
-        report.gt_fraction = n_gt / report.n_frames
-        if n_crossing == report.n_frames:
-            report.issues.append(
-                ValidationIssue(
-                    "warning", "every frame is flagged crossing; evaluation would be empty"
-                )
-            )
-    return report

@@ -9,12 +9,12 @@ genuinely cannot always decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset_io import FrameRecord
-from .errors import LaneHmmError
+from .errors import ConfigError, LaneHmmError
 from .pipeline import EvidenceStream, tentative_matrix
 
 NO_ASSIGNMENT = None
@@ -93,12 +93,12 @@ def evaluate(
     """Score an estimate stream against annotated frames.
 
     Streams are aligned by frame_id; every annotated non-crossing truth
-    frame must have exactly one estimate.
+    frame must have exactly one estimate, or a ConfigError is raised.
     """
     by_id: dict[int, int | None] = {}
     for frame_id, lane in estimates:
         if frame_id in by_id:
-            raise LaneHmmError(f"duplicate estimate for frame {frame_id}")
+            raise ConfigError(f"duplicate estimate for frame {frame_id}")
         by_id[frame_id] = lane
     confusion = np.zeros((n_lanes + 1, n_lanes), dtype=int)
     skipped_crossing = 0
@@ -111,7 +111,7 @@ def evaluate(
             skipped_no_gt += 1
             continue
         if frame.frame_id not in by_id:
-            raise LaneHmmError(f"no estimate for annotated frame {frame.frame_id}")
+            raise ConfigError(f"no estimate for annotated frame {frame.frame_id}")
         lane = by_id[frame.frame_id]
         row = n_lanes if lane is None else lane - 1
         confusion[row, frame.gt_lane - 1] += 1
@@ -161,7 +161,6 @@ def make_timeline(
 class ComparisonReport:
     model: EvalResult
     baseline: EvalResult
-    timeline: list[TimelineRow] = field(default_factory=list)
 
     @property
     def accuracy_delta(self) -> float:
@@ -202,15 +201,11 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare(
-    model: EvalResult,
-    baseline: EvalResult,
-    timeline: list[TimelineRow] | None = None,
-) -> ComparisonReport:
+def compare(model: EvalResult, baseline: EvalResult) -> ComparisonReport:
     """Side-by-side report; both results must cover the same frames."""
     if model.evaluated != baseline.evaluated:
         raise LaneHmmError(
             f"streams cover different frame counts "
             f"({model.evaluated} vs {baseline.evaluated})"
         )
-    return ComparisonReport(model=model, baseline=baseline, timeline=timeline or [])
+    return ComparisonReport(model=model, baseline=baseline)

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, ParameterError
-from .inverse_sensor import WorEvidence
 from .model_core import CptSet, HmmParams
-
-_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -30,18 +27,9 @@ class FrameEstimate:
     sensor_ok_prob: float
 
 
-def init_belief(params: HmmParams, prior: np.ndarray | None = None) -> np.ndarray:
-    """Initial joint belief: lane prior (uniform by default) times (0.5, 0.5)."""
-    n = params.n
-    if prior is None:
-        lane = np.full(n, 1.0 / n)
-    else:
-        lane = np.asarray(prior, dtype=float)
-        if lane.shape != (n,):
-            raise ParameterError(f"prior must have shape ({n},), got {lane.shape}")
-        if np.any(lane < 0) or abs(lane.sum() - 1.0) > _NORM_TOL:
-            raise ParameterError("prior must be a distribution over lanes")
-    return np.outer(lane, [0.5, 0.5])
+def init_belief(params: HmmParams) -> np.ndarray:
+    """Initial joint belief: uniform over lanes times (0.5, 0.5)."""
+    return np.outer(np.full(params.n, 1.0 / params.n), [0.5, 0.5])
 
 
 def predict(belief: np.ndarray, lane_cpt: np.ndarray, sensor_cpt: np.ndarray) -> np.ndarray:
@@ -66,7 +54,7 @@ def predict(belief: np.ndarray, lane_cpt: np.ndarray, sensor_cpt: np.ndarray) ->
 def update(
     belief: np.ndarray,
     tentative: np.ndarray,
-    wor: WorEvidence | np.ndarray,
+    wor: np.ndarray,
     detector_cpt: np.ndarray,
     wor_cpt: np.ndarray,
 ) -> np.ndarray:
@@ -83,8 +71,6 @@ def update(
     """
     lead, n = belief.shape[:-2], belief.shape[-2]
     tentative = np.asarray(tentative, dtype=float)
-    if isinstance(wor, WorEvidence):
-        wor = wor.as_array()
     wor = np.asarray(wor, dtype=float)
     if tentative.shape != lead + (n,) or detector_cpt.shape != lead + (2, n, n):
         raise ParameterError("tentative/detector CPT dimensions do not match belief")
@@ -121,13 +107,12 @@ class LaneFilter:
     run concurrently.
     """
 
-    def __init__(self, params: HmmParams, prior: np.ndarray | None = None,
-                 cpts: CptSet | None = None):
+    def __init__(self, params: HmmParams):
         self.params = params
-        self.cpts = cpts if cpts is not None else CptSet.from_params(params)
-        self.belief = init_belief(params, prior)
+        self.cpts = CptSet.from_params(params)
+        self.belief = init_belief(params)
 
-    def step(self, tentative: np.ndarray, wor: WorEvidence | np.ndarray) -> FrameEstimate:
+    def step(self, tentative: np.ndarray, wor: np.ndarray) -> FrameEstimate:
         """Advance one frame: transition, weigh in the evidence, read the MAP lane."""
         belief = predict(self.belief, self.cpts.lane, self.cpts.sensor)
         belief = update(belief, tentative, wor, self.cpts.detector, self.cpts.wor)

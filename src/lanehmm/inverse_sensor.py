@@ -2,7 +2,7 @@
 
 Turns per-frame line observations into two pieces of evidence for the
 filter: a tentative vector of plausibility counters over lanes, and a
-whole-output reliability (WOR) pair over the detector's health.  Line
+whole-output reliability (WOR) fraction for the detector's health.  Line
 validity is gated by a reliability index (LRI) counted over a sliding
 window with hysteresis.
 """
@@ -46,17 +46,6 @@ class TrackedLine:
     continuous: bool
     lri: int
     is_valid: bool
-
-
-@dataclass(frozen=True)
-class WorEvidence:
-    """Soft evidence over detector health: (belief OK, belief BAD)."""
-
-    ok: float
-    bad: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ok, self.bad])
 
 
 class LriTracker:
@@ -200,16 +189,15 @@ def tentative_parts(
     return base, bonus
 
 
-def compute_wor(lines: list[TrackedLine], n: int, cfg: RuntimeConfig) -> WorEvidence:
-    """Whole-output reliability from the LRIs of all reported lines.
+def compute_wor(lines: list[TrackedLine], n: int, cfg: RuntimeConfig) -> float:
+    """Whole-output reliability (WOR): the belief that the detector is OK.
 
-    The accumulated LRI is taken as a fraction of the maximum achievable:
-    a full window on each of the n+1 boundary lines of an n-lane road.
+    The accumulated LRI of all reported lines is taken as a fraction of
+    the maximum achievable: a full window on each of the n+1 boundary
+    lines of an n-lane road.  The belief that it is BAD is 1 minus this.
     """
     total = sum(line.lri for line in lines)
-    frac = total / (cfg.lri_window * (n + 1))
-    frac = min(max(frac, 0.0), 1.0)
-    return WorEvidence(ok=frac, bad=1.0 - frac)
+    return min(max(total / (cfg.lri_window * (n + 1)), 0.0), 1.0)
 
 
 def normalize_tentative(tentative: np.ndarray, n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MapExtractError, SegmentNotFoundError
+from .errors import MapExtractError, ParameterError, SegmentNotFoundError
 
 EARTH_RADIUS_M = 6371000.0
 
@@ -95,7 +95,7 @@ class MapExtract:
 
     def nearest(self, lat: float, lon: float, radius_m: float) -> LookupResult:
         if not radius_m > 0:
-            raise ValueError(f"radius must be > 0, got {radius_m}")
+            raise ParameterError(f"map radius must be > 0, got {radius_m}")
         # Degree margin generous enough that the bbox prefilter never
         # excludes a segment within the radius.
         margin = radius_m / EARTH_RADIUS_M * 180.0 / math.pi * 2.0

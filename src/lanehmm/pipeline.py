@@ -76,7 +76,7 @@ def build_evidence(
     for t, (frame, tracked) in enumerate(_tracked_lines(header, frames, cfg)):
         frame_ids[t] = frame.frame_id
         base[t], bonus[t] = tentative_parts(tracked, n, cfg)
-        wor_frac[t] = compute_wor(tracked, n, cfg).ok
+        wor_frac[t] = compute_wor(tracked, n, cfg)
         if frame.gt_lane is not None:
             gt[t] = frame.gt_lane
         crossing[t] = frame.crossing
@@ -96,22 +96,18 @@ def tentative_matrix(evidence: EvidenceStream, bv, rows=slice(None)) -> np.ndarr
 
 
 def wor_matrix(evidence: EvidenceStream) -> np.ndarray:
-    """The WOR pair (OK, BAD) of every frame, shape (T, 2)."""
+    """The WOR pair (OK, BAD) = (frac, 1 - frac) of every frame, shape (T, 2)."""
     return np.stack([evidence.wor_frac, 1.0 - evidence.wor_frac], axis=1)
 
 
-def run_sequence(
-    evidence: EvidenceStream,
-    params: HmmParams,
-    prior: np.ndarray | None = None,
-) -> list[ResultRecord]:
+def run_sequence(evidence: EvidenceStream, params: HmmParams) -> list[ResultRecord]:
     """Filter a sequence's evidence frame by frame and collect per-frame estimates."""
     if params.n != evidence.n:
         raise ConfigError(
             f"parameter lane count {params.n} conflicts with sequence lane count "
             f"{evidence.n}"
         )
-    lane_filter = LaneFilter(params, prior=prior)
+    lane_filter = LaneFilter(params)
     tentative = tentative_matrix(evidence, params.bv)
     wor = wor_matrix(evidence)
     results = []

@@ -17,7 +17,7 @@ from .errors import ConfigError, EmptyObjectiveError, ParameterError
 from .evaluation import evaluate
 from .filtering import init_belief, predict, update
 from .inverse_sensor import normalize_tentative
-from .model_core import CptSet, HmmParams, RuntimeConfig
+from .model_core import CptSet, HmmParams
 from .pipeline import (
     EvidenceStream,
     build_evidence,
@@ -55,7 +55,6 @@ class TunerResult:
     best_params: HmmParams
     best_accuracy: float
     trials: tuple[tuple[HmmParams, float], ...]
-    seed: int | None = None
 
 
 def _common_lane_count(sequences: list[Sequence]) -> int:
@@ -67,10 +66,8 @@ def _common_lane_count(sequences: list[Sequence]) -> int:
     return counts.pop()
 
 
-def _evidence_list(
-    sequences: list[Sequence], cfg: RuntimeConfig | None
-) -> list[EvidenceStream]:
-    return [build_evidence(header, list(frames), cfg) for header, frames in sequences]
+def _evidence_list(sequences: list[Sequence]) -> list[EvidenceStream]:
+    return [build_evidence(header, list(frames)) for header, frames in sequences]
 
 
 def _batch_accuracy(
@@ -110,9 +107,7 @@ def _batch_accuracy(
     return correct / evaluated
 
 
-def objective(
-    params: HmmParams, sequences: list[Sequence], cfg: RuntimeConfig | None = None
-) -> float:
+def objective(params: HmmParams, sequences: list[Sequence]) -> float:
     """Pooled non-crossing per-frame accuracy of the full pipeline.
 
     This is the reference (unbatched) route: every sequence is filtered
@@ -122,7 +117,7 @@ def objective(
     total_evaluated = 0
     for header, frames in sequences:
         frames = list(frames)
-        results = run_sequence(build_evidence(header, frames, cfg), params)
+        results = run_sequence(build_evidence(header, frames), params)
         estimates = [(r.frame_id, r.map_lane) for r in results]
         result = evaluate(estimates, frames, header.n_lanes)
         total_correct += result.correct
@@ -133,11 +128,7 @@ def objective(
 
 
 def random_search(
-    space: SearchSpace,
-    sequences: list[Sequence],
-    budget: int,
-    seed: int,
-    cfg: RuntimeConfig | None = None,
+    space: SearchSpace, sequences: list[Sequence], budget: int, seed: int
 ) -> TunerResult:
     """Uniform random candidates over the space; deterministic given seed."""
     if budget < 1:
@@ -161,14 +152,13 @@ def random_search(
         )
         for i in range(budget)
     ]
-    evidence = _evidence_list(sequences, cfg)
+    evidence = _evidence_list(sequences)
     accuracies = _batch_accuracy(candidates, evidence)
     best = int(np.argmax(accuracies))
     return TunerResult(
         best_params=candidates[best],
         best_accuracy=float(accuracies[best]),
         trials=tuple(zip(candidates, (float(a) for a in accuracies))),
-        seed=seed,
     )
 
 
@@ -176,7 +166,6 @@ def coordinate_refine(
     start: HmmParams,
     sequences: list[Sequence],
     iterations: int,
-    cfg: RuntimeConfig | None = None,
     space: SearchSpace | None = None,
 ) -> TunerResult:
     """Cyclic coordinate descent on a per-dimension grid.
@@ -190,7 +179,7 @@ def coordinate_refine(
         raise ParameterError("iterations must be >= 0")
     if space is None:
         space = SearchSpace()
-    evidence = _evidence_list(sequences, cfg)
+    evidence = _evidence_list(sequences)
     current = start
     current_acc = float(_batch_accuracy([start], evidence)[0])
     trials = [(current, current_acc)]
@@ -219,7 +208,6 @@ def coordinate_refine(
         best_params=current,
         best_accuracy=current_acc,
         trials=tuple(trials),
-        seed=None,
     )
 
 

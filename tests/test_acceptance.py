@@ -17,7 +17,6 @@ from lanehmm.inverse_sensor import (
     LriTracker,
     RawLineObservation,
     TrackedLine,
-    WorEvidence,
     compute_wor,
     normalize_tentative,
 )
@@ -93,8 +92,7 @@ def test_criterion_2_lri_hysteresis_log(cfg):
         tracked = tracker.update(lines)
     assert [line.lri for line in tracked] == [10, 9, 7, 0]
     assert [line.is_valid for line in tracked] == [True, False, True, False]
-    wor = compute_wor(tracked, 3, cfg)
-    assert wor.ok == 0.65
+    assert compute_wor(tracked, 3, cfg) == 0.65
     report(2, "LRI (10,9,7,0), isValid (1,0,1,0), WOR frac 0.65")
 
 
@@ -151,22 +149,22 @@ def test_criterion_4_invariant_suite():
     cpts = CptSet.from_params(params)
     belief = rng.uniform(0.1, 1.0, (4, 2))
     belief /= belief.sum()
-    posterior = update(belief, np.full(4, 0.25), WorEvidence(0.5, 0.5),
+    posterior = update(belief, np.full(4, 0.25), np.array([0.5, 0.5]),
                        cpts.detector, cpts.wor)
     assert np.allclose(posterior, belief, rtol=0.0, atol=1e-14)
 
     # Tentative scaling: bit-stable for exact (power-of-two) scalings,
     # 1e-12-close for arbitrary positive factors.
     raw = np.array([0.0, 3.0, 1.0, 0.5])
-    reference = update(belief, normalize_tentative(raw, 4), WorEvidence(0.7, 0.3),
+    reference = update(belief, normalize_tentative(raw, 4), np.array([0.7, 0.3]),
                        cpts.detector, cpts.wor)
     for scale in (2.0, 0.5, 1024.0):
         scaled = update(belief, normalize_tentative(scale * raw, 4),
-                        WorEvidence(0.7, 0.3), cpts.detector, cpts.wor)
+                        np.array([0.7, 0.3]), cpts.detector, cpts.wor)
         assert scaled.tobytes() == reference.tobytes()
     for scale in (3.0, 0.123, 77.7):
         scaled = update(belief, normalize_tentative(scale * raw, 4),
-                        WorEvidence(0.7, 0.3), cpts.detector, cpts.wor)
+                        np.array([0.7, 0.3]), cpts.detector, cpts.wor)
         assert np.allclose(scaled, reference, rtol=0.0, atol=1e-12)
     report(4, "1e5 steps normalized at 1e-12, identity update exact, scaling stable")
 

@@ -164,6 +164,42 @@ def test_evaluate_round_trip_consistency(capsys, sim3, tmp_path):
     assert eval_metrics["metrics"]["model"] == run_metrics
 
 
+def _truncated_results(capsys, sim3, tmp_path, keep, edit=None):
+    """A results file for sim3 with only its first `keep` records, the last edited."""
+    out = tmp_path / "res.out"
+    code, _, _ = run_cli(
+        capsys, "run", "--input", str(sim3), "--preset", "spain-run06", "--out", str(out),
+    )
+    assert code == 0
+    header, *records = out.read_text().splitlines()[: keep + 1]
+    if edit:
+        records[-1] = json.dumps({**json.loads(records[-1]), **edit})
+    out.write_text("\n".join([header, *records]) + "\n")
+    return out
+
+
+def test_evaluate_missing_estimate_is_config_error(capsys, sim3, tmp_path):
+    results = _truncated_results(capsys, sim3, tmp_path, keep=10)
+    code, stdout, stderr = run_cli(
+        capsys, "evaluate", "--results", str(results), "--truth", str(sim3)
+    )
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert stderr.startswith("error: no estimate for annotated frame")
+    assert len(stderr.splitlines()) == 1
+
+
+def test_evaluate_out_of_range_map_lane_is_input_error(capsys, sim3, tmp_path):
+    results = _truncated_results(capsys, sim3, tmp_path, keep=3, edit={"map_lane": 7})
+    code, stdout, stderr = run_cli(
+        capsys, "evaluate", "--results", str(results), "--truth", str(sim3)
+    )
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert f"{results}:4: map_lane 7 outside [1, 3]" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_tune_small_budget(capsys, sim3, tmp_path):
     params_out = tmp_path / "best.params"
     log = tmp_path / "trials.jsonl"
@@ -193,6 +229,17 @@ def test_map_lookup(capsys):
         "--lat", "10", "--lon", "10",
     )
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("radius", ["0", "-5"])
+def test_map_lookup_nonpositive_radius_is_config_error(capsys, radius):
+    code, stdout, stderr = run_cli(
+        capsys, "map-lookup", "--map", str(FIXTURES / "extract3.map"),
+        "--lat", "45.5001", "--lon", "9.15", "--map-radius", radius,
+    )
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert stderr == f"error: map radius must be > 0, got {float(radius)}\n"
 
 
 def test_presets_list_and_show(capsys):

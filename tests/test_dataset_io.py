@@ -10,7 +10,6 @@ from lanehmm.dataset_io import (
     SequenceHeader,
     read_results,
     read_sequence,
-    validate_sequence,
     write_results,
     write_sequence,
 )
@@ -134,6 +133,12 @@ def test_duplicate_track_id_in_frame_reports_line(tmp_path, lri_source):
         ("frame", "id", "2"),
         ("frame", "gt", 2.9),
         ("frame", "gt", True),
+        ("frame", "t", float("nan")),
+        ("frame", "t", float("inf")),
+        ("frame", "t", float("-inf")),
+        ("frame", "t", "0.5"),
+        ("frame", "gnss", [float("nan"), 9.2]),
+        ("frame", "gnss", [45.5, float("inf")]),
     ],
 )
 def test_reader_is_type_strict(tmp_path, where, field, value):
@@ -184,6 +189,49 @@ def test_results_round_trip_exact(tmp_path):
     header2, records2 = read_results(path)
     assert header2 == header
     assert records2 == records  # exact field equality, floats included
+
+
+RESULT = {"id": 3, "map_lane": 2, "marginal": [0.25, 0.5, 0.25], "sensor_ok": 0.5,
+          "tentative": [0.0, 1.0, 0.0], "wor": 0.5}
+
+
+INTEGER = "must be a JSON integer"
+FINITE = "must be a JSON finite number"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("id", 3.0, INTEGER, id="id-float"),
+        pytest.param("id", "3", INTEGER, id="id-string"),
+        pytest.param("map_lane", 2.9, INTEGER, id="map_lane-float"),
+        pytest.param("map_lane", True, INTEGER, id="map_lane-bool"),
+        pytest.param("map_lane", 7, r"7 outside \[1, 3\]", id="map_lane-above"),
+        pytest.param("map_lane", 0, r"0 outside \[1, 3\]", id="map_lane-zero"),
+        pytest.param("marginal", [float("nan"), 0.5, 0.5], FINITE, id="marginal-nan"),
+        pytest.param("sensor_ok", float("inf"), FINITE, id="sensor_ok-inf"),
+        pytest.param("tentative", [0.0, "1", 0.0], FINITE, id="tentative-string"),
+        pytest.param("wor", float("nan"), FINITE, id="wor-nan"),
+        pytest.param("wor", None, FINITE, id="wor-null"),
+    ],
+)
+def test_results_reader_is_type_strict(tmp_path, field, value, message):
+    path = tmp_path / "typed.res"
+    path.write_text('{"format": 1, "content": "results", "n_lanes": 3}\n'
+                    + json.dumps(RESULT) + "\n"
+                    + json.dumps({**RESULT, "id": 4, field: value}) + "\n")
+    with pytest.raises(SequenceFormatError, match=f":3: {field} {message}"):
+        read_results(path)
+
+
+@pytest.mark.parametrize("next_id", [3, 2])
+def test_results_ids_strictly_increase(tmp_path, next_id):
+    path = tmp_path / "order.res"
+    path.write_text('{"format": 1, "content": "results", "n_lanes": 3}\n'
+                    + json.dumps(RESULT) + "\n"
+                    + json.dumps(dict(RESULT, id=next_id)) + "\n")
+    with pytest.raises(SequenceFormatError, match=":3: frame ids not strictly increasing"):
+        read_results(path)
 
 
 def test_write_unwritable_path(tmp_path):
@@ -241,53 +289,3 @@ def test_parsing_is_locale_independent(tmp_path):
     finally:
         locale.setlocale(locale.LC_NUMERIC, original)
 
-
-# --- validation -------------------------------------------------------------------
-
-def test_validate_clean_fixture():
-    header, frames = read_sequence(FIXTURES / "logged_lri.seq")
-    report = validate_sequence(header, list(frames))
-    assert report.ok and report.issues == []
-    assert report.n_frames == 1
-
-
-def test_validate_duplicate_frame_reports_both_positions():
-    header = SequenceHeader(n_lanes=2)
-    frames = [
-        FrameRecord(frame_id=0, timestamp_s=0.0, lines=()),
-        FrameRecord(frame_id=7, timestamp_s=0.1, lines=()),
-        FrameRecord(frame_id=7, timestamp_s=0.2, lines=()),
-    ]
-    report = validate_sequence(header, frames)
-    assert not report.ok
-    (issue,) = report.issues
-    assert "positions 1 and 2" in issue.message
-
-
-def test_validate_all_crossing_warns():
-    header = SequenceHeader(n_lanes=2)
-    frames = [
-        FrameRecord(frame_id=i, timestamp_s=0.1 * i, lines=(), gt_lane=1, crossing=True)
-        for i in range(5)
-    ]
-    report = validate_sequence(header, frames)
-    assert report.ok  # warning, not error
-    assert any("crossing" in issue.message for issue in report.issues)
-    assert report.crossing_fraction == 1.0
-
-
-def test_validate_stats_and_machine_readable():
-    header = SequenceHeader(n_lanes=3)
-    frames = [
-        FrameRecord(frame_id=0, timestamp_s=0.0, lines=(), gt_lane=1),
-        FrameRecord(
-            frame_id=1, timestamp_s=0.1,
-            lines=(LineEntry("a", 1.0, False, True),), crossing=True,
-        ),
-    ]
-    report = validate_sequence(header, frames)
-    as_dict = report.to_dict()
-    assert json.loads(json.dumps(as_dict)) == as_dict
-    assert as_dict["zero_line_fraction"] == 0.5
-    assert as_dict["crossing_fraction"] == 0.5
-    assert as_dict["gt_fraction"] == 0.5

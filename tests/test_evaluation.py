@@ -198,9 +198,7 @@ def test_compare_report_round_trips_machine_readable():
     truth = [frame(i, gt=1 + i % 3) for i in range(30)]
     model = evaluate([(i, 1 + i % 3) for i in range(30)], truth, 3)
     baseline = evaluate([(i, None) for i in range(30)], truth, 3)
-    timeline = make_timeline(truth, [(i, 1 + i % 3) for i in range(30)],
-                             [(i, None) for i in range(30)])
-    report = compare(model, baseline, timeline)
+    report = compare(model, baseline)
     as_dict = report.to_dict()
     assert json.loads(json.dumps(as_dict, sort_keys=True)) == as_dict
     rendered = report.render_text()

@@ -9,7 +9,6 @@ from lanehmm.filtering import (
     predict,
     update,
 )
-from lanehmm.inverse_sensor import WorEvidence
 from lanehmm.model_core import CptSet, HmmParams
 
 from conftest import random_params
@@ -34,19 +33,6 @@ def test_init_uniform_joint():
     belief = init_belief(run01())
     assert belief.shape == (4, 2)
     assert np.all(belief == 0.125)
-
-
-def test_init_with_prior(params3):
-    belief = init_belief(params3, prior=np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(belief[:, 0], [0.5, 0, 0])
-    assert np.array_equal(belief[:, 1], [0.5, 0, 0])
-
-
-def test_init_rejects_bad_prior(params3):
-    with pytest.raises(ParameterError):
-        init_belief(params3, prior=np.array([0.9, 0.0, 0.0]))
-    with pytest.raises(ParameterError):
-        init_belief(params3, prior=np.array([0.5, 0.5]))
 
 
 # --- predict ---------------------------------------------------------------------
@@ -111,7 +97,7 @@ def test_uninformative_evidence_is_identity(params3):
         belief = rng.uniform(0, 1, (3, 2))
         belief /= belief.sum()
         posterior = update(
-            belief, np.full(3, 1 / 3), WorEvidence(0.5, 0.5), cpts.detector, cpts.wor
+            belief, np.full(3, 1 / 3), np.array([0.5, 0.5]), cpts.detector, cpts.wor
         )
         assert np.allclose(posterior, belief, rtol=0, atol=1e-14)
 
@@ -120,7 +106,7 @@ def test_hard_evidence_limit():
     params = HmmParams(n=2, sigma1=0.5, sigma2=1e-3, p1=0.9, p2=0.9, p3=0.9, p4=0.9, bv=0)
     cpts = CptSet.from_params(params)
     belief = init_belief(params)
-    posterior = update(belief, np.array([1.0, 0.0]), WorEvidence(1.0, 0.0),
+    posterior = update(belief, np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                        cpts.detector, cpts.wor)
     marginal = posterior.sum(axis=1)
     # The BAD-sensor channel keeps a sliver of mass on lane 2 even under
@@ -133,7 +119,7 @@ def test_update_rejects_bad_shapes(params3):
     cpts = CptSet.from_params(params3)
     belief = init_belief(params3)
     with pytest.raises(ParameterError):
-        update(belief, np.full(4, 0.25), WorEvidence(0.5, 0.5), cpts.detector, cpts.wor)
+        update(belief, np.full(4, 0.25), np.array([0.5, 0.5]), cpts.detector, cpts.wor)
 
 
 # --- map estimate ------------------------------------------------------------------
@@ -164,7 +150,7 @@ def test_map_concentrated_bad_sensor():
 def test_step_with_uninformative_evidence_is_prediction_only(params3):
     lane_filter = LaneFilter(params3)
     cpts = lane_filter.cpts
-    estimate = lane_filter.step(np.full(3, 1 / 3), WorEvidence(0.5, 0.5))
+    estimate = lane_filter.step(np.full(3, 1 / 3), np.array([0.5, 0.5]))
     expected = np.full(3, 1 / 3) @ cpts.lane
     assert np.allclose(estimate.lane_marginal, expected, atol=1e-14)
 
@@ -254,10 +240,10 @@ def test_belief_stays_strictly_positive():
 def test_late_hard_observation_can_flip_map(params3):
     lane_filter = LaneFilter(params3)
     for _ in range(50):
-        lane_filter.step(np.array([0.9, 0.05, 0.05]), WorEvidence(0.9, 0.1))
+        lane_filter.step(np.array([0.9, 0.05, 0.05]), np.array([0.9, 0.1]))
     assert map_estimate(lane_filter.belief).map_lane == 1
     for _ in range(10):
-        lane_filter.step(np.array([0.001, 0.001, 0.998]), WorEvidence(0.9, 0.1))
+        lane_filter.step(np.array([0.001, 0.001, 0.998]), np.array([0.9, 0.1]))
     assert map_estimate(lane_filter.belief).map_lane == 3
 
 
@@ -269,15 +255,15 @@ def test_tentative_scale_invariance(params3):
     belief = rng.uniform(0, 1, (3, 2))
     belief /= belief.sum()
     raw = np.array([0.0, 3.0, 1.0])
-    reference = update(belief, normalize_tentative(raw, 3), WorEvidence(0.7, 0.3),
+    reference = update(belief, normalize_tentative(raw, 3), np.array([0.7, 0.3]),
                        cpts.detector, cpts.wor)
     for scale in (2.0, 0.25, 64.0):  # powers of two scale exactly
         scaled = update(belief, normalize_tentative(scale * raw, 3),
-                        WorEvidence(0.7, 0.3), cpts.detector, cpts.wor)
+                        np.array([0.7, 0.3]), cpts.detector, cpts.wor)
         assert scaled.tobytes() == reference.tobytes()
     for scale in (3.0, 0.7, 11.3):
         scaled = update(belief, normalize_tentative(scale * raw, 3),
-                        WorEvidence(0.7, 0.3), cpts.detector, cpts.wor)
+                        np.array([0.7, 0.3]), cpts.detector, cpts.wor)
         assert np.allclose(scaled, reference, rtol=0, atol=1e-12)
 
 

@@ -240,21 +240,18 @@ def test_wor_from_logged_lri_values(cfg):
         valid_line(-2.15, lri=7),
         valid_line(+0.99, lri=0, ok=False),
     ]
-    wor = compute_wor(lines, 3, cfg)
-    assert wor.ok == 0.65 and wor.bad == pytest.approx(0.35)
+    assert compute_wor(lines, 3, cfg) == 0.65
 
 
 def test_wor_extremes(cfg):
     full = [valid_line(float(j), lri=10) for j in range(4)]
-    assert compute_wor(full, 3, cfg).ok == 1.0
-    assert compute_wor([], 3, cfg).ok == 0.0
-    assert compute_wor([], 3, cfg).bad == 1.0
+    assert compute_wor(full, 3, cfg) == 1.0
+    assert compute_wor([], 3, cfg) == 0.0
 
 
 def test_wor_clamped_with_extra_lines(cfg):
     crowded = [valid_line(float(j), lri=10) for j in range(7)]
-    wor = compute_wor(crowded, 3, cfg)
-    assert wor.ok == 1.0 and wor.ok + wor.bad == 1.0
+    assert compute_wor(crowded, 3, cfg) == 1.0
 
 
 def test_wor_sums_to_one_random(cfg):
@@ -264,9 +261,9 @@ def test_wor_sums_to_one_random(cfg):
             valid_line(float(j), lri=int(rng.integers(0, 11)))
             for j in range(rng.integers(0, 8))
         ]
-        wor = compute_wor(lines, int(rng.integers(1, 6)), cfg)
-        assert 0.0 <= wor.ok <= 1.0
-        assert wor.ok + wor.bad == pytest.approx(1.0, abs=1e-12)
+        # In [0, 1], so the WOR pair (frac, 1 - frac) is a distribution.
+        frac = compute_wor(lines, int(rng.integers(1, 6)), cfg)
+        assert type(frac) is float and 0.0 <= frac <= 1.0
 
 
 # --- normalization ---------------------------------------------------------------

@@ -5,7 +5,7 @@ from lanehmm.dataset_io import read_sequence
 from lanehmm.errors import ConfigError
 from lanehmm.inverse_sensor import LriTracker, compute_wor
 from lanehmm.model_core import RuntimeConfig
-from lanehmm.pipeline import build_evidence, run_sequence, tentative_matrix
+from lanehmm.pipeline import build_evidence, run_sequence, tentative_matrix, wor_matrix
 from lanehmm.simulator import SimConfig, simulate
 
 from conftest import FIXTURES, tentative
@@ -28,7 +28,16 @@ def test_evidence_matches_per_frame_inverse_sensor(cfg, params3):
     for t, frame in enumerate(frames):
         tracked = tracker.update([e.to_observation() for e in frame.lines])
         assert np.array_equal(full[t], tentative(tracked, params3, cfg))
-        assert evidence.wor_frac[t] == compute_wor(tracked, 3, cfg).ok
+        assert evidence.wor_frac[t] == compute_wor(tracked, 3, cfg)
+
+
+def test_wor_matrix_pairs_ok_with_bad(cfg):
+    header, frames, _ = small_sim()
+    evidence = build_evidence(header, frames, cfg)
+    wor = wor_matrix(evidence)
+    assert wor.shape == (len(frames), 2)
+    assert np.array_equal(wor[:, 0], evidence.wor_frac)
+    assert np.array_equal(wor[:, 1], 1.0 - evidence.wor_frac)
 
 
 def test_run_sequence_rejects_lane_mismatch(params3):

@@ -115,7 +115,7 @@ def test_batched_accuracy_matches_objective_exactly(case):
     else:
         header, frames = noisy_sim(n=4, frames=500, seed=78)
         candidates = [random_params(rng, 4) for _ in range(8)]
-    evidence = _evidence_list([(header, frames)], None)
+    evidence = _evidence_list([(header, frames)])
     batched = _batch_accuracy(candidates, evidence)
     reference = np.array([objective(c, [(header, frames)]) for c in candidates])
     assert np.array_equal(batched, reference)
