@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import SequenceFormatError
-from .inverse_sensor import MAX_LINE_OFFSET_M, RawLineObservation, TrackedLine
+from .inverse_sensor import MAX_LINE_OFFSET_M, RawLineObservation
 
 FORMAT_VERSION = 1
 LRI_SOURCES = ("recompute", "log")
@@ -64,19 +64,6 @@ class LineEntry:
             offset_m=self.offset_m,
             continuous=self.continuous,
             detected=self.detected,
-        )
-
-    def to_tracked(self) -> TrackedLine:
-        if self.lri is None or self.is_valid is None:
-            raise SequenceFormatError(
-                f"line {self.track_id!r} lacks precomputed lri/valid fields"
-            )
-        return TrackedLine(
-            track_id=self.track_id,
-            offset_m=self.offset_m,
-            continuous=self.continuous,
-            lri=self.lri,
-            is_valid=self.is_valid,
         )
 
 
@@ -175,7 +162,7 @@ def _parse_line_entry(obj: dict, path, lineno: int, require_lri: bool) -> LineEn
     try:
         entry = LineEntry(
             track_id=str(obj["track"]),
-            offset_m=float(obj["offset"]),
+            offset_m=_strict(obj["offset"], float, "offset", path, lineno),
             continuous=_strict(obj["cont"], bool, "cont", path, lineno),
             detected=_strict(obj["det"], bool, "det", path, lineno),
             lri=_strict(obj["lri"], int, "lri", path, lineno) if "lri" in obj else None,
@@ -186,7 +173,7 @@ def _parse_line_entry(obj: dict, path, lineno: int, require_lri: bool) -> LineEn
         raise SequenceFormatError(f"line entry lacks field {exc}", path=path, line=lineno) from None
     except (TypeError, ValueError) as exc:
         raise SequenceFormatError(f"bad line entry: {exc}", path=path, line=lineno) from None
-    if not math.isfinite(entry.offset_m) or abs(entry.offset_m) >= MAX_LINE_OFFSET_M:
+    if abs(entry.offset_m) >= MAX_LINE_OFFSET_M:
         raise SequenceFormatError(
             f"line offset out of bounds: {entry.offset_m}", path=path, line=lineno
         )
@@ -348,8 +335,10 @@ def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
     """Read a results file as strictly as a sequence file.
 
     `id` and `map_lane` must be JSON integers, `map_lane` must lie in
-    [1, n_lanes], ids must strictly increase and every float must be
-    finite; any failure is a SequenceFormatError with the line number.
+    [1, n_lanes], `marginal` and `tentative` must have n_lanes entries and
+    the marginal must sum to 1, ids must strictly increase and every float
+    must be finite; any failure is a SequenceFormatError with the line
+    number.
     """
     path = Path(path)
     lines = _content_lines(path)
@@ -378,6 +367,16 @@ def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
             raise SequenceFormatError(f"result lacks field {exc}", path=path, line=lineno) from None
         except TypeError as exc:
             raise SequenceFormatError(f"bad result field: {exc}", path=path, line=lineno) from None
+        except SequenceFormatError as exc:
+            if exc.line is not None:  # a field check, already located
+                raise
+            raise SequenceFormatError(str(exc), path=path, line=lineno) from None
+        for name, values in (("marginal", record.lane_marginal), ("tentative", record.tentative)):
+            if len(values) != header.n_lanes:
+                raise SequenceFormatError(
+                    f"{name} must have {header.n_lanes} entries, got {len(values)}",
+                    path=path, line=lineno,
+                )
         if not 1 <= record.map_lane <= header.n_lanes:
             raise SequenceFormatError(
                 f"map_lane {record.map_lane} outside [1, {header.n_lanes}]",

@@ -5,6 +5,10 @@ filter: a tentative vector of plausibility counters over lanes, and a
 whole-output reliability (WOR) fraction for the detector's health.  Line
 validity is gated by a reliability index (LRI) counted over a sliding
 window with hysteresis.
+
+These functions work one frame at a time; `pipeline.build_evidence`
+computes the same quantities for a whole sequence at once, and they are
+its bit-exact reference.
 """
 
 from __future__ import annotations

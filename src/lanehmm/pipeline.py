@@ -13,14 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset_io import FrameRecord, ResultRecord, SequenceHeader
-from .errors import ConfigError
+from .errors import ConfigError, SequenceFormatError
 from .filtering import LaneFilter
-from .inverse_sensor import (
-    LriTracker,
-    compute_wor,
-    normalize_tentative,
-    tentative_parts,
-)
+from .inverse_sensor import MAX_LINE_OFFSET_M, normalize_tentative
 from .model_core import HmmParams, RuntimeConfig
 
 
@@ -44,45 +39,127 @@ class EvidenceStream:
         return len(self.frame_ids)
 
 
-def _tracked_lines(header: SequenceHeader, frames: list[FrameRecord], cfg: RuntimeConfig):
-    """Yield (frame, tracked-lines) with LRI recomputed or taken from the log."""
-    if header.lri_source == "log":
-        for frame in frames:
-            yield frame, [entry.to_tracked() for entry in frame.lines]
-    else:
-        tracker = LriTracker(cfg)
-        for frame in frames:
-            observations = [entry.to_observation() for entry in frame.lines]
-            yield frame, tracker.update(observations)
+def _recomputed_lri(entries, frame_idx, T, cfg):
+    """LRI and validity of every line entry, as `LriTracker` would give them.
+
+    The LRI of a track at frame t counts its detections in (t - window, t].
+    Validity latches on at `lri >= window` and off at `lri < drop_below`:
+    a line is valid iff its track's last full window comes after its last
+    frame below the drop threshold.  Between two reports of a track the LRI
+    only falls, so the latch needs the LRI at each report and in the frame
+    before it, and memory stays O(line entries).
+    """
+    window = cfg.lri_window
+    stride = T + window  # no window reaching back from a track's keys meets another track
+    codes: dict[str, int] = {}
+    keys = np.fromiter((codes.setdefault(e.track_id, len(codes)) for e in entries),
+                       int, len(entries))
+    keys *= stride
+    keys += frame_idx
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    if len(repeats):
+        first = repeats[np.argmin(order[repeats])]
+        raise ValueError(
+            f"track id {list(codes)[keys[first] // stride]!r} reported twice in one frame"
+        )
+    det = np.fromiter((e.detected for e in entries), bool, len(entries))
+    det_keys = keys[det[order]]
+    lri = np.searchsorted(det_keys, keys, "right")
+    before = np.searchsorted(det_keys, keys, "left")  # LRI in the frame before
+    keys -= window  # where each window starts
+    lri -= np.searchsorted(det_keys, keys, "right")
+    before -= np.searchsorted(det_keys, keys, "left")
+    # Each temporary goes as soon as it is used: these L-sized arrays, not
+    # the arithmetic, set the pass's share of peak memory.
+    del keys, det_keys
+    drop_below = cfg.hysteresis_fraction * window
+    # Report i is step 2i + 1 and the frame before it step 2i.  A track's
+    # first report follows an LRI of 0, so no latch carries over tracks.
+    step = np.arange(1, 2 * len(lri), 2)
+    last_low = np.where(before < drop_below, step - 1, -1)
+    del before
+    low = lri < drop_below
+    last_low[low] = step[low]
+    np.maximum.accumulate(last_low, out=last_low)
+    last_full = np.where(lri >= window, step, -1)
+    del step
+    np.maximum.accumulate(last_full, out=last_full)
+    valid = np.empty(len(lri), dtype=bool)
+    valid[order] = last_full > last_low
+    in_line_order = np.empty_like(lri)
+    in_line_order[order] = lri
+    return in_line_order, valid
+
+
+def _tentative_counts(frame_idx, offset, cont, T, n, cfg):
+    """`tentative_parts` of every frame, from its valid lines' entries.
+
+    Evaluates the float expressions of `line_compatible` and
+    `implied_lane_from_continuous` elementwise, one boundary at a time.
+    """
+    width = cfg.lane_width
+    base = np.empty((T, n))
+    for lane in range(1, n + 1):
+        hit = np.zeros(len(offset), dtype=bool)
+        for j in range(n + 1):
+            hit |= np.abs(offset - (j - lane + 0.5) * width) <= cfg.compat_tolerance
+        base[:, lane - 1] = np.bincount(frame_idx[hit], minlength=T)
+    edge = cont & (offset != 0.0)
+    at = offset[edge]
+    # np.round, like round(), rounds half to even.
+    implied = np.round(np.where(at < 0.0, 0.5 - at / width, n + 0.5 - at / width))
+    implied = np.clip(implied, 1, n).astype(int)
+    bonus = np.bincount(frame_idx[edge] * n + implied - 1, minlength=T * n)
+    return base, bonus.reshape(T, n).astype(float)
 
 
 def build_evidence(
     header: SequenceHeader, frames: list[FrameRecord], cfg: RuntimeConfig | None = None
 ) -> EvidenceStream:
-    """Run the inverse sensor model over a whole sequence.
+    """Run the inverse sensor model over a whole sequence in one columnar pass.
 
-    `cfg` defaults to the standard thresholds at the header's lane width.
+    Bit-identical to `LriTracker.update`, `tentative_parts` and
+    `compute_wor` applied frame by frame.  `cfg` defaults to the standard
+    thresholds at the header's lane width.
     """
     if cfg is None:
         cfg = RuntimeConfig(lane_width=header.lane_width_m)
     n = header.n_lanes
     T = len(frames)
-    frame_ids = np.empty(T, dtype=int)
-    base = np.empty((T, n))
-    bonus = np.empty((T, n))
-    wor_frac = np.empty(T)
-    gt = np.full(T, -1, dtype=int)
-    crossing = np.zeros(T, dtype=bool)
-    for t, (frame, tracked) in enumerate(_tracked_lines(header, frames, cfg)):
-        frame_ids[t] = frame.frame_id
-        base[t], bonus[t] = tentative_parts(tracked, n, cfg)
-        wor_frac[t] = compute_wor(tracked, n, cfg)
-        if frame.gt_lane is not None:
-            gt[t] = frame.gt_lane
-        crossing[t] = frame.crossing
+    entries = [entry for frame in frames for entry in frame.lines]
+    L = len(entries)
+    frame_idx = np.repeat(
+        np.arange(T), np.fromiter((len(frame.lines) for frame in frames), int, T))
+    offset = np.fromiter((e.offset_m for e in entries), float, L)
+    cont = np.fromiter((e.continuous for e in entries), bool, L)
+    if header.lri_source == "log":
+        missing = next((e for e in entries if e.lri is None or e.is_valid is None), None)
+        if missing is not None:
+            raise SequenceFormatError(
+                f"line {missing.track_id!r} lacks precomputed lri/valid fields"
+            )
+        lri = np.fromiter((e.lri for e in entries), int, L)
+        valid = np.fromiter((e.is_valid for e in entries), bool, L)
+    else:
+        bad = np.flatnonzero(~(np.abs(offset) < MAX_LINE_OFFSET_M))
+        if len(bad):
+            raise ValueError(f"line offset out of sanity bounds: {offset[bad[0]]}")
+        lri, valid = _recomputed_lri(entries, frame_idx, T, cfg)
+
+    base, bonus = _tentative_counts(frame_idx[valid], offset[valid], cont[valid], T, n, cfg)
+    total = np.bincount(frame_idx, weights=lri, minlength=T)
+    wor_frac = np.clip(total / (cfg.lri_window * (n + 1)), 0.0, 1.0)
     return EvidenceStream(
-        n=n, frame_ids=frame_ids, base=base, bonus=bonus,
-        wor_frac=wor_frac, gt_lane=gt, crossing=crossing,
+        n=n,
+        frame_ids=np.fromiter((frame.frame_id for frame in frames), int, T),
+        base=base,
+        bonus=bonus,
+        wor_frac=wor_frac,
+        gt_lane=np.fromiter(
+            (-1 if frame.gt_lane is None else frame.gt_lane for frame in frames), int, T),
+        crossing=np.fromiter((frame.crossing for frame in frames), bool, T),
     )
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -10,6 +11,11 @@ from lanehmm.inverse_sensor import tentative_parts
 from lanehmm.model_core import HmmParams, RuntimeConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Properties test the same examples on every run, with no per-example time
+# limit: tier-1 stays deterministic on a slow or loaded host.
+settings.register_profile("lanehmm", deadline=None, derandomize=True, database=None)
+settings.load_profile("lanehmm")
 
 
 @pytest.fixture

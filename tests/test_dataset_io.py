@@ -139,6 +139,9 @@ def test_duplicate_track_id_in_frame_reports_line(tmp_path, lri_source):
         ("frame", "t", "0.5"),
         ("frame", "gnss", [float("nan"), 9.2]),
         ("frame", "gnss", [45.5, float("inf")]),
+        ("line", "offset", "-1.75"),
+        ("line", "offset", float("nan")),
+        ("line", "offset", True),
     ],
 )
 def test_reader_is_type_strict(tmp_path, where, field, value):
@@ -213,6 +216,8 @@ FINITE = "must be a JSON finite number"
         pytest.param("tentative", [0.0, "1", 0.0], FINITE, id="tentative-string"),
         pytest.param("wor", float("nan"), FINITE, id="wor-nan"),
         pytest.param("wor", None, FINITE, id="wor-null"),
+        pytest.param("marginal", [1.0], "must have 3 entries, got 1", id="marginal-short"),
+        pytest.param("tentative", [0.0], "must have 3 entries, got 1", id="tentative-short"),
     ],
 )
 def test_results_reader_is_type_strict(tmp_path, field, value, message):
@@ -221,6 +226,15 @@ def test_results_reader_is_type_strict(tmp_path, field, value, message):
                     + json.dumps(RESULT) + "\n"
                     + json.dumps({**RESULT, "id": 4, field: value}) + "\n")
     with pytest.raises(SequenceFormatError, match=f":3: {field} {message}"):
+        read_results(path)
+
+
+def test_results_unnormalized_marginal_reports_line(tmp_path):
+    path = tmp_path / "unnormalized.res"
+    path.write_text('{"format": 1, "content": "results", "n_lanes": 3}\n'
+                    + json.dumps(dict(RESULT, marginal=[0.9, 0.3, 0.1])) + "\n")
+    with pytest.raises(SequenceFormatError,
+                       match=":2: lane marginal of frame 3 does not sum to 1"):
         read_results(path)
 
 
