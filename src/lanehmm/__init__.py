@@ -25,7 +25,16 @@ from .evaluation import (
     evaluate,
     make_timeline,
 )
-from .filtering import FrameEstimate, LaneFilter, init_belief, map_estimate, predict, update
+from .filtering import (
+    FrameEstimate,
+    LaneFilter,
+    forward,
+    init_belief,
+    likelihood,
+    map_estimate,
+    predict,
+    update,
+)
 from .inverse_sensor import (
     LriTracker,
     RawLineObservation,

@@ -177,6 +177,10 @@ def _parse_line_entry(obj: dict, path, lineno: int, require_lri: bool) -> LineEn
         raise SequenceFormatError(
             f"line offset out of bounds: {entry.offset_m}", path=path, line=lineno
         )
+    if entry.lri is not None and entry.lri < 0:
+        raise SequenceFormatError(
+            f"lri must be a JSON integer >= 0, got {entry.lri}", path=path, line=lineno
+        )
     if require_lri and (entry.lri is None or entry.is_valid is None):
         raise SequenceFormatError(
             "lri_source=log requires lri and valid on every line", path=path, line=lineno

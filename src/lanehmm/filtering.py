@@ -51,6 +51,49 @@ def predict(belief: np.ndarray, lane_cpt: np.ndarray, sensor_cpt: np.ndarray) ->
     return lane_cpt.swapaxes(-1, -2) @ belief @ sensor_cpt
 
 
+def likelihood(
+    tentative: np.ndarray,
+    wor: np.ndarray,
+    detector_cpt: np.ndarray,
+    wor_cpt: np.ndarray,
+) -> np.ndarray:
+    """Virtual-evidence likelihood of every joint state, shape (..., n, 2).
+
+    The likelihood of state (l, s) is the expected probability of the
+    soft observation under that state:
+
+        lik(l, s) = (sum_o tentative[o] * detector_cpt[s, l, o])
+                  * (sum_k wor[k] * wor_cpt[s, k])
+
+    The CPTs may carry leading candidate axes; tentative carries the same
+    axes and the WOR pair none, both optionally behind one leading frame
+    axis, which the result keeps in front.
+    """
+    lead, n = detector_cpt.shape[:-3], detector_cpt.shape[-1]
+    tentative = np.asarray(tentative, dtype=float)
+    wor = np.asarray(wor, dtype=float)
+    frames = tentative.shape[:tentative.ndim - len(lead) - 1]
+    if (len(frames) > 1 or tentative.shape != frames + lead + (n,)
+            or detector_cpt.shape[-3:] != (2, n, n)):
+        raise ParameterError("tentative/detector CPT dimensions do not match belief")
+    if wor.shape != frames + (2,) or wor_cpt.shape != lead + (2, 2):
+        raise ParameterError("WOR evidence must have two entries")
+    wor = wor.reshape(frames + (1,) * len(lead) + (2,))
+    lane_term = (detector_cpt @ tentative[..., None, :, None])[..., 0]  # (..., 2, n): SS, lane
+    wor_term = (wor_cpt @ wor[..., :, None])[..., 0]                    # (..., 2)
+    lik = lane_term.swapaxes(-1, -2)                                    # (..., n, 2)
+    lik *= wor_term[..., None, :]
+    return lik
+
+
+def _normalized(posterior: np.ndarray) -> np.ndarray:
+    total = posterior.sum(axis=(-2, -1), keepdims=True)
+    if not total.all():
+        # Unreachable with open-interval parameters (all CPT entries > 0).
+        raise InternalError("zero normalizer in update; parameter domain violated upstream")
+    return posterior / total
+
+
 def update(
     belief: np.ndarray,
     tentative: np.ndarray,
@@ -60,42 +103,47 @@ def update(
 ) -> np.ndarray:
     """Bayes update with the tentative vector and WOR as virtual evidence.
 
-    The likelihood of state (l, s) is the expected probability of the
-    soft observation under that state:
-
-        lik(l, s) = (sum_o tentative[o] * detector_cpt[s, l, o])
-                  * (sum_k wor[k] * wor_cpt[s, k])
-
     belief, tentative and the CPTs may carry the same leading candidate
     axes as in predict; the WOR pair is shared by all candidates.
     """
-    lead, n = belief.shape[:-2], belief.shape[-2]
-    tentative = np.asarray(tentative, dtype=float)
-    wor = np.asarray(wor, dtype=float)
-    if tentative.shape != lead + (n,) or detector_cpt.shape != lead + (2, n, n):
+    lik = likelihood(tentative, wor, detector_cpt, wor_cpt)
+    if lik.shape != belief.shape:
         raise ParameterError("tentative/detector CPT dimensions do not match belief")
-    if wor.shape != (2,) or wor_cpt.shape != lead + (2, 2):
-        raise ParameterError("WOR evidence must have two entries")
+    return _normalized(belief * lik)
 
-    lane_term = (detector_cpt @ tentative[..., None, :, None])[..., 0]  # (..., 2, n): SS, lane
-    wor_term = wor_cpt @ wor                                            # (..., 2)
-    likelihood = lane_term.swapaxes(-1, -2) * wor_term[..., None, :]    # (..., n, 2)
-    posterior = belief * likelihood
-    total = posterior.sum(axis=(-2, -1), keepdims=True)
-    if not total.all():
-        # Unreachable with open-interval parameters (all CPT entries > 0).
-        raise InternalError("zero normalizer in update; parameter domain violated upstream")
-    return posterior / total
+
+def forward(
+    belief: np.ndarray, lane_cpt: np.ndarray, sensor_cpt: np.ndarray, lik: np.ndarray
+) -> np.ndarray:
+    """Filter `belief` through a block of B frames; the B posteriors, (B, ..., n, 2).
+
+    `lik` is the block's `likelihood`.  Each step is predict and update
+    with the same arithmetic, so the posteriors are bitwise those of B
+    predict/update calls.
+    """
+    if lik.shape[-2:] != belief.shape[-2:] or lik.shape[1:] != lane_cpt.shape[:-1] + (2,):
+        raise ParameterError(f"likelihood block {lik.shape} does not match belief {belief.shape}")
+    lane_t = lane_cpt.swapaxes(-1, -2)
+    posteriors = np.empty(lik.shape)
+    for i, step_lik in enumerate(lik):
+        belief = _normalized(((lane_t @ belief) @ sensor_cpt) * step_lik)
+        posteriors[i] = belief
+    return posteriors
+
+
+def lane_marginal(belief: np.ndarray) -> np.ndarray:
+    """P(lane) of joint beliefs (..., n, 2): OK mass plus BAD mass."""
+    return belief[..., 0] + belief[..., 1]
 
 
 def map_estimate(belief: np.ndarray) -> FrameEstimate:
     """MAP lane readout; ties break toward the lowest lane index."""
-    lane_marginal = belief.sum(axis=1)
-    idx = int(np.argmax(lane_marginal))
+    marginal = lane_marginal(belief)
+    idx = int(np.argmax(marginal))
     return FrameEstimate(
         map_lane=idx + 1,
-        map_lane_prob=float(lane_marginal[idx]),
-        lane_marginal=lane_marginal,
+        map_lane_prob=float(marginal[idx]),
+        lane_marginal=marginal,
         sensor_ok_prob=float(belief[:, 0].sum()),
     )
 

@@ -4,6 +4,12 @@ The inverse-sensor pass runs once per sequence into an EvidenceStream:
 the geometry and LRI passes do not depend on the HMM parameters (except
 for the bonus value, which enters linearly), so the filter, the
 detector-only baseline and every tuner candidate share it.
+
+`filter_blocks` is the one forward-filter loop, for run_sequence (one
+parameter set) and the tuner sweep (K stacked candidates).  It works in
+blocks of frames: the likelihoods of a whole block in one call, then
+only transition, multiply and normalize per frame.  Every result is
+bitwise what `LaneFilter.step` gives frame by frame.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ import numpy as np
 
 from .dataset_io import FrameRecord, ResultRecord, SequenceHeader
 from .errors import ConfigError, SequenceFormatError
-from .filtering import LaneFilter
+from .filtering import forward, init_belief, lane_marginal, likelihood
 from .inverse_sensor import MAX_LINE_OFFSET_M, normalize_tentative
-from .model_core import HmmParams, RuntimeConfig
+from .model_core import CptSet, HmmParams, RuntimeConfig
 
 
 @dataclass(frozen=True)
@@ -163,13 +169,21 @@ def build_evidence(
     )
 
 
+# Candidate-lanes per block of the forward filter: K candidates of n lanes
+# filter 8192 // (K n) frames per block, so that each of the block's
+# temporaries stays near 0.1 MB.
+_BLOCK_CANDIDATE_LANES = 8192
+
+
 def tentative_matrix(evidence: EvidenceStream, bv, rows=slice(None)) -> np.ndarray:
     """The tentative vectors `base + bv * bonus` of the selected frames.
 
-    Shape (T, n) for one bonus value over all frames; for one frame index
-    and a (K, 1) column of bonus values, that frame's K vectors, (K, n).
+    Shape (T, n) for one bonus value; for a (K, 1) column of bonus values,
+    each frame's K vectors, (T, K, n).
     """
-    return evidence.base[rows] + bv * evidence.bonus[rows]
+    bv = np.asarray(bv, dtype=float)
+    shape = (-1,) + (1,) * (bv.ndim - 1) + (evidence.n,)
+    return evidence.base[rows].reshape(shape) + bv * evidence.bonus[rows].reshape(shape)
 
 
 def wor_matrix(evidence: EvidenceStream) -> np.ndarray:
@@ -177,27 +191,46 @@ def wor_matrix(evidence: EvidenceStream) -> np.ndarray:
     return np.stack([evidence.wor_frac, 1.0 - evidence.wor_frac], axis=1)
 
 
-def run_sequence(evidence: EvidenceStream, params: HmmParams) -> list[ResultRecord]:
-    """Filter a sequence's evidence frame by frame and collect per-frame estimates."""
-    if params.n != evidence.n:
+def filter_blocks(evidence: EvidenceStream, cpts: CptSet, bv, belief: np.ndarray):
+    """Forward-filter the evidence in blocks of frames, in order.
+
+    `cpts` may hold K candidates' tables stacked on a leading axis, with
+    `bv` their (K, 1) bonus values.  Yields each block's frame slice and
+    posteriors, (B, K, n, 2) or (B, n, 2) for one candidate, each bitwise
+    what `LaneFilter.step` would hold after that frame.
+    """
+    if cpts.n != evidence.n:
         raise ConfigError(
-            f"parameter lane count {params.n} conflicts with sequence lane count "
-            f"{evidence.n}"
+            f"parameter lane count {cpts.n} conflicts with sequence lane count {evidence.n}"
         )
-    lane_filter = LaneFilter(params)
-    tentative = tentative_matrix(evidence, params.bv)
+    block = max(1, _BLOCK_CANDIDATE_LANES // (np.size(bv) * evidence.n))
     wor = wor_matrix(evidence)
+    for start in range(0, len(evidence), block):
+        rows = slice(start, start + block)
+        tentative = normalize_tentative(tentative_matrix(evidence, bv, rows), evidence.n)
+        lik = likelihood(tentative, wor[rows], cpts.detector, cpts.wor)
+        posteriors = forward(belief, cpts.lane, cpts.sensor, lik)
+        belief = posteriors[-1]
+        yield rows, posteriors
+
+
+def run_sequence(evidence: EvidenceStream, params: HmmParams) -> list[ResultRecord]:
+    """Filter a sequence's evidence and collect per-frame estimates.
+
+    The records equal those of a `LaneFilter` stepped frame by frame; MAP
+    ties break toward the lowest lane.
+    """
+    cpts = CptSet.from_params(params)
     results = []
-    for t, frame_id in enumerate(evidence.frame_ids.tolist()):
-        estimate = lane_filter.step(normalize_tentative(tentative[t], params.n), wor[t])
-        results.append(
-            ResultRecord(
-                frame_id=frame_id,
-                map_lane=estimate.map_lane,
-                lane_marginal=tuple(estimate.lane_marginal.tolist()),
-                sensor_ok_prob=estimate.sensor_ok_prob,
-                tentative=tuple(tentative[t].tolist()),
-                wor_frac=float(evidence.wor_frac[t]),
-            )
+    for rows, posteriors in filter_blocks(evidence, cpts, params.bv, init_belief(params)):
+        marginal = lane_marginal(posteriors)
+        results += map(
+            ResultRecord,  # frame_id, map_lane, lane_marginal, sensor_ok_prob, tentative, wor_frac
+            evidence.frame_ids[rows].tolist(),
+            (marginal.argmax(axis=-1) + 1).tolist(),
+            map(tuple, marginal.tolist()),
+            posteriors[..., 0].sum(axis=-1).tolist(),
+            map(tuple, tentative_matrix(evidence, params.bv, rows).tolist()),
+            evidence.wor_frac[rows].tolist(),
         )
     return results

@@ -4,7 +4,10 @@ The objective (per-frame accuracy on non-crossing annotated frames) is
 piecewise constant in the parameters, so the search is random sampling
 plus coordinate refinement on a shrinking grid.  Candidate evaluation is
 vectorized: the inverse-sensor pass is parameter-independent up to the
-bonus value, so it runs once per sequence and all candidates share it.
+bonus value, so it runs once per sequence and all candidates share it,
+and the K candidates of a sweep are stacked along a leading axis and
+filtered by `pipeline.filter_blocks`, the loop run_sequence uses, in
+blocks of about 8192 / (K n) frames.
 """
 
 from __future__ import annotations
@@ -15,15 +18,13 @@ import numpy as np
 
 from .errors import ConfigError, EmptyObjectiveError, ParameterError
 from .evaluation import evaluate
-from .filtering import init_belief, predict, update
-from .inverse_sensor import normalize_tentative
+from .filtering import init_belief, lane_marginal
 from .model_core import CptSet, HmmParams
 from .pipeline import (
     EvidenceStream,
     build_evidence,
+    filter_blocks,
     run_sequence,
-    tentative_matrix,
-    wor_matrix,
 )
 
 Sequence = tuple  # (SequenceHeader, list[FrameRecord])
@@ -75,33 +76,26 @@ def _batch_accuracy(
 ) -> np.ndarray:
     """Accuracy of every candidate on the pooled evidence, in one sweep.
 
-    The K candidates run through the same predict/update as LaneFilter,
-    stacked along a leading axis, so each candidate's MAP stream is the
-    one run_sequence would produce.
+    The K candidates' tables are stacked along a leading axis and filtered
+    through the same block loop as run_sequence, so each candidate's MAP
+    stream is the one run_sequence would produce.
     """
-    n = candidates[0].n
     cpts = [CptSet.from_params(p) for p in candidates]
-    lane_cpts = np.stack([c.lane for c in cpts])          # (K, n, n)
-    sensor_cpts = np.stack([c.sensor for c in cpts])      # (K, 2, 2)
-    det_cpts = np.stack([c.detector for c in cpts])       # (K, 2, n, n)
-    wor_cpts = np.stack([c.wor for c in cpts])            # (K, 2, 2)
-    bv = np.array([[p.bv] for p in candidates])           # (K, 1)
-
+    stacked = CptSet(
+        n=candidates[0].n,
+        **{name: np.stack([getattr(c, name) for c in cpts])
+           for name in ("lane", "sensor", "detector", "wor")},
+    )
+    bv = np.array([[p.bv] for p in candidates])  # (K, 1)
     correct = np.zeros(len(candidates), dtype=int)
     evaluated = 0
     for ev in evidence:
-        if ev.n != n:
-            raise ConfigError(f"evidence lane count {ev.n} != parameter lane count {n}")
-        belief = np.stack([init_belief(p) for p in candidates])  # (K, n, 2)
-        wor = wor_matrix(ev)
-        for t in range(len(ev)):
-            tvn = normalize_tentative(tentative_matrix(ev, bv, t), n)
-            belief = predict(belief, lane_cpts, sensor_cpts)
-            belief = update(belief, tvn, wor[t], det_cpts, wor_cpts)
-            gt = ev.gt_lane[t]
-            if gt > 0 and not ev.crossing[t]:
-                correct += belief.sum(axis=-1).argmax(axis=-1) + 1 == gt
-                evaluated += 1
+        scored = (ev.gt_lane > 0) & ~ev.crossing
+        for rows, posteriors in filter_blocks(ev, stacked, bv, init_belief(candidates[0])):
+            keep = scored[rows]
+            lanes = lane_marginal(posteriors)[keep].argmax(axis=-1) + 1  # (frames, K)
+            correct += (lanes == ev.gt_lane[rows][keep, None]).sum(axis=0)
+        evaluated += int(scored.sum())
     if evaluated == 0:
         raise EmptyObjectiveError("no annotated non-crossing frames to score")
     return correct / evaluated

@@ -109,6 +109,22 @@ def test_run_duplicate_track_id_is_input_error(capsys, tmp_path):
     assert "Traceback" not in stderr
 
 
+def test_run_negative_logged_lri_is_input_error(capsys, tmp_path):
+    line = {"track": "b0", "offset": -1.75, "cont": True, "det": True,
+            "lri": 10, "valid": True}
+    path = tmp_path / "negative_lri.seq"
+    path.write_text('{"format": 1, "n_lanes": 3, "lri_source": "log"}\n'
+                    + json.dumps({"id": 0, "t": 0.0, "lines": [line]}) + "\n"
+                    + json.dumps({"id": 1, "t": 0.1, "lines": [dict(line, lri=-500)]}) + "\n")
+    code, stdout, stderr = run_cli(
+        capsys, "run", "--input", str(path), "--preset", "spain-run06"
+    )
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert f"{path}:3: lri must be a JSON integer >= 0, got -500" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_run_requires_exactly_one_source(capsys, sim3):
     code, _, _ = run_cli(capsys, "run", "--preset", "spain-run06")
     assert code == cli.EXIT_CONFIG

@@ -142,6 +142,7 @@ def test_duplicate_track_id_in_frame_reports_line(tmp_path, lri_source):
         ("line", "offset", "-1.75"),
         ("line", "offset", float("nan")),
         ("line", "offset", True),
+        ("line", "lri", -500),
     ],
 )
 def test_reader_is_type_strict(tmp_path, where, field, value):

@@ -4,7 +4,9 @@ import pytest
 from lanehmm.errors import ParameterError
 from lanehmm.filtering import (
     LaneFilter,
+    forward,
     init_belief,
+    likelihood,
     map_estimate,
     predict,
     update,
@@ -295,6 +297,42 @@ def test_candidate_axis_is_bitwise_k_single_filters():
                 assert np.array_equal(tvn[k], normalize_tentative(raw[k], n))
                 lane_filter.step(tvn[k], wor)
                 assert belief[k].tobytes() == lane_filter.belief.tobytes()
+
+
+def test_forward_block_is_bitwise_predict_update():
+    # One likelihood/forward block over B frames and K candidates holds the
+    # beliefs that B predict/update calls leave.
+    from lanehmm.inverse_sensor import normalize_tentative
+
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4, 5):
+        candidates = [random_params(rng, n) for _ in range(4)]
+        cpts = [CptSet.from_params(p) for p in candidates]
+
+        def stack(name):
+            return np.stack([getattr(c, name) for c in cpts])
+
+        tvn = normalize_tentative(rng.integers(0, 4, (9, len(cpts), n)).astype(float), n)
+        frac = rng.uniform(0.0, 1.0, 9)
+        wor = np.stack([frac, 1.0 - frac], axis=1)
+        belief = np.stack([init_belief(p) for p in candidates])
+        block = forward(belief, stack("lane"), stack("sensor"),
+                        likelihood(tvn, wor, stack("detector"), stack("wor")))
+        assert block.shape == (9, len(cpts), n, 2)
+        for t in range(9):
+            belief = predict(belief, stack("lane"), stack("sensor"))
+            belief = update(belief, tvn[t], wor[t], stack("detector"), stack("wor"))
+            assert block[t].tobytes() == belief.tobytes()
+
+
+def test_forward_rejects_mismatched_block(params3):
+    cpts = CptSet.from_params(params3)
+    lik = likelihood(np.full((5, 3), 1 / 3), np.full((5, 2), 0.5), cpts.detector, cpts.wor)
+    assert lik.shape == (5, 3, 2)
+    with pytest.raises(ParameterError):
+        forward(np.full((4, 2), 0.125), np.full((4, 4), 0.25), cpts.sensor, lik)
+    with pytest.raises(ParameterError):
+        likelihood(np.full((2, 5, 3), 1 / 3), np.full((2, 5, 2), 0.5), cpts.detector, cpts.wor)
 
 
 def test_candidate_axis_shapes_must_agree(params3):

@@ -3,14 +3,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lanehmm import pipeline
 from lanehmm.dataset_io import FrameRecord, LineEntry, SequenceHeader, read_sequence
 from lanehmm.errors import ConfigError, SequenceFormatError
-from lanehmm.inverse_sensor import LriTracker, TrackedLine, compute_wor, tentative_parts
+from lanehmm.filtering import LaneFilter
+from lanehmm.inverse_sensor import (
+    LriTracker,
+    TrackedLine,
+    compute_wor,
+    normalize_tentative,
+    tentative_parts,
+)
 from lanehmm.model_core import RuntimeConfig
-from lanehmm.pipeline import build_evidence, run_sequence, tentative_matrix, wor_matrix
+from lanehmm.pipeline import (
+    EvidenceStream,
+    build_evidence,
+    run_sequence,
+    tentative_matrix,
+    wor_matrix,
+)
 from lanehmm.simulator import SimConfig, simulate
 
-from conftest import FIXTURES, tentative
+from conftest import FIXTURES, random_params, tentative
 
 
 def small_sim(n=3, seed=61, frames=300):
@@ -179,6 +193,45 @@ def test_run_sequence_results_are_consistent(params3, cfg):
         # The record carries the evidence rows the filter consumed.
         assert record.tentative == tuple(tentative_matrix(evidence, params3.bv)[t])
         assert record.wor_frac == evidence.wor_frac[t]
+
+
+@st.composite
+def blocked_runs(draw):
+    """A block size, parameters and evidence spanning several blocks plus a remainder."""
+    n = draw(st.integers(1, 5))
+    block = draw(st.integers(2, 6))
+    T = block * draw(st.integers(2, 4)) + draw(st.integers(1, block - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = random_params(rng, n).replace(bv=draw(st.floats(0.0, 10.0)))
+    evidence = EvidenceStream(
+        n=n,
+        frame_ids=np.arange(T),
+        base=rng.integers(0, 4, (T, n)).astype(float),  # all-zero rows included
+        bonus=rng.integers(0, 2, (T, n)).astype(float),
+        wor_frac=rng.uniform(0.0, 1.0, T),
+        gt_lane=np.full(T, -1),
+        crossing=np.zeros(T, dtype=bool),
+    )
+    return block, params, evidence
+
+
+@given(blocked_runs())
+@settings(max_examples=200)
+def test_run_sequence_is_bitwise_a_lane_filter_stream(run):
+    block, params, evidence = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_BLOCK_CANDIDATE_LANES", block * params.n)
+        records = run_sequence(evidence, params)
+    assert len(records) == len(evidence)
+    lane_filter = LaneFilter(params)
+    tentative_rows = tentative_matrix(evidence, params.bv)
+    wor = wor_matrix(evidence)
+    for t, record in enumerate(records):
+        estimate = lane_filter.step(normalize_tentative(tentative_rows[t], params.n), wor[t])
+        assert record.map_lane == estimate.map_lane
+        assert np.array(record.lane_marginal).tobytes() == estimate.lane_marginal.tobytes()
+        assert (np.float64(record.sensor_ok_prob).tobytes()
+                == np.float64(estimate.sensor_ok_prob).tobytes())
 
 
 def test_run_sequence_deterministic(params3, cfg):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lanehmm import pipeline
 from lanehmm.errors import ConfigError, EmptyObjectiveError, ParameterError
 from lanehmm.model_core import HmmParams, load_preset
 from lanehmm.simulator import SimConfig, simulate
@@ -101,10 +102,17 @@ REPRODUCER = HmmParams(
 )
 
 
-@pytest.mark.parametrize("case", ["noisy3", "reproducer", "noisy4"])
-def test_batched_accuracy_matches_objective_exactly(case):
+@pytest.mark.parametrize(
+    "case", ["noisy3", "reproducer", "noisy4", "one-frame-blocks", "remainder-block"])
+def test_batched_accuracy_matches_objective_exactly(case, monkeypatch):
     rng = np.random.default_rng(77)
-    if case == "noisy3":
+    if case == "one-frame-blocks":
+        # 8 candidates of 3 lanes filter one frame per block, the reference 8.
+        monkeypatch.setattr(pipeline, "_BLOCK_CANDIDATE_LANES", 8 * 3)
+    elif case == "remainder-block":
+        # Blocks of 7 frames: 500 = 71 * 7 + 3.
+        monkeypatch.setattr(pipeline, "_BLOCK_CANDIDATE_LANES", 7 * 8 * 3)
+    if case in ("noisy3", "one-frame-blocks", "remainder-block"):
         header, frames = noisy_sim(frames=500, seed=76)
         candidates = [random_params(rng, 3) for _ in range(8)]
     elif case == "reproducer":
