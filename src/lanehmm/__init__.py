@@ -10,9 +10,12 @@ from .dataset_io import (
     FrameRecord,
     LineEntry,
     ResultRecord,
+    ResultTable,
     SequenceHeader,
+    SequenceTable,
     read_results,
     read_sequence,
+    read_table,
     write_results,
     write_sequence,
 )

@@ -14,8 +14,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, model_core, pipeline, simulator, tuner
-from .dataset_io import read_results, read_sequence, write_results, write_sequence
+from .dataset_io import SequenceTable, read_results, read_table, write_results, write_sequence
 from .errors import (
     ConfigError,
     EmptyObjectiveError,
@@ -109,15 +111,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_lanes(args, header, frames) -> tuple[int, str]:
+def _resolve_lanes(args, header, table: SequenceTable) -> tuple[int, str]:
     if args.lanes:
         return args.lanes, "flag"
     if args.map:
         extract = load_extract(args.map)
-        fix = next((f.gnss for f in frames if f.gnss is not None), None)
-        if fix is None:
+        fixes = np.flatnonzero(~np.isnan(table.gnss[:, 0]))
+        if not len(fixes):
             _eprint("warning: --map given but the sequence has no GNSS fix")
         else:
+            fix = tuple(table.gnss[fixes[0]].tolist())
             try:
                 hit = lookup_lane_count(fix, extract, args.map_radius)
                 return hit.lane_count, f"map:{hit.segment_id}"
@@ -130,17 +133,17 @@ def cmd_run(args) -> int:
     if bool(args.input) == bool(args.sim_config):
         raise ConfigError("exactly one of --input or --sim-config is required")
     if args.input:
-        header, frame_iter = read_sequence(args.input)
-        frames = list(frame_iter)
+        header, table = read_table(args.input)
         source = str(args.input)
     else:
         text = Path(args.sim_config).read_text(encoding="utf-8")
         config = simulator.parse_sim_config(text, source=args.sim_config, seed=args.seed)
         header, frames, _ = simulator.simulate(config)
+        table = SequenceTable.from_frames(frames)
         source = f"sim:{args.sim_config}"
 
     params = _load_cli_params(args)
-    n_lanes, lane_source = _resolve_lanes(args, header, frames)
+    n_lanes, lane_source = _resolve_lanes(args, header, table)
     if params.n != n_lanes:
         raise ConfigError(
             f"parameter lane count {params.n} conflicts with resolved lane count "
@@ -152,7 +155,7 @@ def cmd_run(args) -> int:
             f"sequence header {header.n_lanes}"
         )
     cfg = _runtime_config(args, header.lane_width_m)
-    evidence = pipeline.build_evidence(header, frames, cfg)
+    evidence = pipeline.build_evidence(header, table, cfg)
     results = pipeline.run_sequence(evidence, params)
     if args.out:
         write_results(args.out, header, results)
@@ -162,19 +165,19 @@ def cmd_run(args) -> int:
         "input": source,
         "n_lanes": n_lanes,
         "lane_source": lane_source,
-        "frames": len(frames),
+        "frames": len(table),
         "out": str(args.out) if args.out else None,
     }
-    annotated = any(f.gt_lane is not None for f in frames)
+    annotated = bool((table.gt > 0).any())
     if annotated or args.trace:
-        estimates = [(r.frame_id, r.map_lane) for r in results]
+        estimates = (results.frame_ids, results.map_lane)
         baseline = evaluation.detector_baseline(evidence, params.bv)
         if args.trace:
-            _write_timeline(args.trace, evaluation.make_timeline(frames, estimates, baseline))
+            _write_timeline(args.trace, evaluation.make_timeline(table, estimates, baseline))
     if annotated:
         report = evaluation.compare(
-            evaluation.evaluate(estimates, frames, n_lanes),
-            evaluation.evaluate(baseline, frames, n_lanes),
+            evaluation.evaluate(estimates, table, n_lanes),
+            evaluation.evaluate(baseline, table, n_lanes),
         )
         summary["metrics"] = report.to_dict()
         _eprint(report.render_text())
@@ -182,36 +185,28 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_timeline(path, timeline) -> None:
+def _write_timeline(path, timeline: dict) -> None:
+    """One TSV row per frame; "-" marks lane 0, no annotation or no assignment."""
+    columns = ("frame_id", "gt", "crossing", "baseline", "model")
+    rows = zip(*(timeline[name].tolist() for name in columns))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame_id\tgt\tcrossing\tbaseline\tmodel\n")
-        for row in timeline:
-            fh.write(
-                f"{row.frame_id}\t{_cell(row.gt_lane)}\t{int(row.crossing)}\t"
-                f"{_cell(row.baseline)}\t{_cell(row.model)}\n"
-            )
-
-
-def _cell(value) -> str:
-    return "-" if value is None else str(value)
+        fh.write("\t".join(columns) + "\n")
+        fh.writelines(f"{frame_id}\t{gt or '-'}\t{int(crossing)}\t{baseline or '-'}\t"
+                      f"{model or '-'}\n" for frame_id, gt, crossing, baseline, model in rows)
 
 
 def cmd_tune(args) -> int:
-    sequences = []
-    for path in args.input:
-        header, frames = read_sequence(path)
-        sequences.append((header, list(frames)))
+    sequences = [read_table(path) for path in args.input]
     if args.holdout:
-        holdout_header, holdout_frames = read_sequence(args.holdout)
         train = sequences
-        heldout = [(holdout_header, list(holdout_frames))]
+        heldout = [read_table(args.holdout)]
     elif args.no_split:
         train, heldout = sequences, []
     else:
         # Default protocol: first half of each sequence trains, second half scores.
         train, heldout = [], []
-        for header, frames in sequences:
-            first, second = tuner.split_half(header, frames)
+        for header, table in sequences:
+            first, second = tuner.split_half(header, table)
             train.append(first)
             heldout.append(second)
     space = tuner.SearchSpace()
@@ -252,16 +247,16 @@ def _write_trials_log(path, trials) -> None:
 
 def cmd_evaluate(args) -> int:
     results_header, records = read_results(args.results)
-    truth_header, frame_iter = read_sequence(args.truth)
-    frames = list(frame_iter)
+    truth_header, truth = read_table(args.truth)
     if results_header.n_lanes != truth_header.n_lanes:
         raise ConfigError(
             f"results lane count {results_header.n_lanes} conflicts with truth "
             f"{truth_header.n_lanes}"
         )
     n = truth_header.n_lanes
-    estimates = [(r.frame_id, r.map_lane) for r in records]
-    model_eval = evaluation.evaluate(estimates, frames, n)
+    estimates = (np.array([r.frame_id for r in records], dtype=int),
+                 np.array([r.map_lane for r in records], dtype=int))
+    model_eval = evaluation.evaluate(estimates, truth, n)
     summary = {
         "command": "evaluate",
         "results": str(args.results),
@@ -271,13 +266,13 @@ def cmd_evaluate(args) -> int:
     if args.preset or args.params:
         params = _load_cli_params(args)
         cfg = _runtime_config(args, truth_header.lane_width_m)
-        evidence = pipeline.build_evidence(truth_header, frames, cfg)
+        evidence = pipeline.build_evidence(truth_header, truth, cfg)
         baseline = evaluation.detector_baseline(evidence, params.bv)
-        baseline_eval = evaluation.evaluate(baseline, frames, n)
+        baseline_eval = evaluation.evaluate(baseline, truth, n)
         report = evaluation.compare(model_eval, baseline_eval)
         summary["metrics"] = report.to_dict()
         if args.trace:
-            _write_timeline(args.trace, evaluation.make_timeline(frames, estimates, baseline))
+            _write_timeline(args.trace, evaluation.make_timeline(truth, estimates, baseline))
         _eprint(report.render_text())
     _emit(summary)
     return EXIT_OK
@@ -318,23 +313,22 @@ def cmd_presets(args) -> int:
 def selfcheck_summary() -> dict:
     """Deterministic end-to-end metrics for the committed golden scenario."""
     header, frames, _ = simulator.simulate(SELFCHECK_SIM)
+    table = SequenceTable.from_frames(frames)
     params = model_core.load_preset(SELFCHECK_PRESET)
-    evidence = pipeline.build_evidence(header, frames)
+    evidence = pipeline.build_evidence(header, table)
     results = pipeline.run_sequence(evidence, params)
-    estimates = [(r.frame_id, r.map_lane) for r in results]
     baseline = evaluation.detector_baseline(evidence, params.bv)
     report = evaluation.compare(
-        evaluation.evaluate(estimates, frames, header.n_lanes),
-        evaluation.evaluate(baseline, frames, header.n_lanes),
+        evaluation.evaluate((results.frame_ids, results.map_lane), table, header.n_lanes),
+        evaluation.evaluate(baseline, table, header.n_lanes),
     )
-    first, last = results[0], results[-1]
     return {
         "sim_seed": SELFCHECK_SIM.seed,
         "preset": SELFCHECK_PRESET,
-        "frames": len(frames),
+        "frames": len(table),
         "metrics": report.to_dict(),
-        "first_marginal": list(first.lane_marginal),
-        "last_marginal": list(last.lane_marginal),
+        "first_marginal": results.lane_marginal[0].tolist(),
+        "last_marginal": results.lane_marginal[-1].tolist(),
     }
 
 

@@ -5,6 +5,11 @@ non-comment line, then one JSON object per frame (or per result record).
 The format is documented in docs/format.md; the header carries
 `format=1`.  `#` lines are comments.
 
+`read_table` reads a sequence straight into numpy columns, a
+`SequenceTable`; `read_sequence` gives the same content as
+`FrameRecord`s.  `run_sequence` returns its estimates as a `ResultTable`
+of columns, which `write_results` formats.
+
 LRI and validity are normally recomputed from the per-frame `det` flags
 so the hysteresis logic is exercised; logs converted from recordings that
 already carry them can set `lri_source="log"` in the header to ingest the
@@ -13,11 +18,15 @@ precomputed values instead.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import SequenceFormatError
 from .inverse_sensor import MAX_LINE_OFFSET_M, RawLineObservation
@@ -37,6 +46,8 @@ class SequenceHeader:
     def __post_init__(self) -> None:
         if self.n_lanes < 1:
             raise SequenceFormatError(f"n_lanes must be >= 1, got {self.n_lanes}")
+        if not self.lane_width_m > 0:
+            raise SequenceFormatError(f"lane_width_m must be > 0, got {self.lane_width_m}")
         if not self.fps > 0:
             raise SequenceFormatError(f"fps must be > 0, got {self.fps}")
         if self.lri_source not in LRI_SOURCES:
@@ -77,6 +88,105 @@ class FrameRecord:
     crossing: bool = False
 
 
+_FRAME_COLUMNS = ("frame_ids", "t", "gt", "crossing", "gnss", "source_line")
+_LINE_COLUMNS = ("line_frame", "track", "offset", "cont", "det", "lri", "valid")
+
+
+@dataclass(frozen=True, eq=False)
+class SequenceTable:
+    """A sequence's frames and line entries as numpy columns, in file order.
+
+    Frame columns have one row per frame; line columns one row per line
+    entry, `line_frame` giving its frame's row.  A track is a code into
+    `track_ids`, numbered in order of first appearance.  Absent optional
+    fields read -1 (`gt`, `lri`, `valid`) or NaN (`gnss`).
+    `source_line` is each frame's line in the file at `path`, 0 for a
+    table built from frames.
+    """
+
+    frame_ids: np.ndarray    # (T,) int
+    t: np.ndarray            # (T,) float
+    gt: np.ndarray           # (T,) int
+    crossing: np.ndarray     # (T,) bool
+    gnss: np.ndarray         # (T, 2) float
+    source_line: np.ndarray  # (T,) int
+    line_frame: np.ndarray   # (L,) int, nondecreasing
+    track: np.ndarray        # (L,) int
+    offset: np.ndarray       # (L,) float
+    cont: np.ndarray         # (L,) bool
+    det: np.ndarray          # (L,) bool
+    lri: np.ndarray          # (L,) int
+    valid: np.ndarray        # (L,) int8: 1, 0 or -1
+    track_ids: tuple[str, ...] = ()
+    path: Path | None = None
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def __getitem__(self, rows: slice) -> "SequenceTable":
+        """The table of a contiguous range of frames, e.g. `table[:mid]`."""
+        if rows.step not in (None, 1):
+            raise ValueError("a SequenceTable slices contiguous frame ranges only")
+        start, stop, _ = rows.indices(len(self))
+        stop = max(start, stop)
+        lines = slice(*np.searchsorted(self.line_frame, [start, stop]))
+        columns = {name: getattr(self, name)[start:stop] for name in _FRAME_COLUMNS}
+        columns.update({name: getattr(self, name)[lines] for name in _LINE_COLUMNS})
+        columns["line_frame"] = columns["line_frame"] - start
+        return dataclasses.replace(self, **columns)
+
+    def error(self, message: str, frame: int) -> SequenceFormatError:
+        """A format error located at frame row `frame`'s line, where it has one."""
+        line = int(self.source_line[frame])
+        return SequenceFormatError(message, path=self.path, line=line or None)
+
+    @classmethod
+    def from_frames(cls, frames: Iterable[FrameRecord]) -> "SequenceTable":
+        """The table of frame records, such as the simulator's; it has no `path`."""
+        frames = list(frames)
+        entries = [entry for frame in frames for entry in frame.lines]
+        T, L = len(frames), len(entries)
+        codes: dict[str, int] = {}
+        nan = (math.nan, math.nan)
+        return cls(
+            frame_ids=np.fromiter((f.frame_id for f in frames), int, T),
+            t=np.fromiter((f.timestamp_s for f in frames), float, T),
+            gt=np.fromiter((-1 if f.gt_lane is None else f.gt_lane for f in frames), int, T),
+            crossing=np.fromiter((f.crossing for f in frames), bool, T),
+            gnss=np.array([f.gnss or nan for f in frames], dtype=float).reshape(T, 2),
+            source_line=np.zeros(T, dtype=int),
+            line_frame=np.repeat(np.arange(T), [len(f.lines) for f in frames]),
+            track=np.fromiter((codes.setdefault(e.track_id, len(codes)) for e in entries),
+                              int, L),
+            offset=np.fromiter((e.offset_m for e in entries), float, L),
+            cont=np.fromiter((e.continuous for e in entries), bool, L),
+            det=np.fromiter((e.detected for e in entries), bool, L),
+            lri=np.fromiter((-1 if e.lri is None else e.lri for e in entries), int, L),
+            valid=np.fromiter((-1 if e.is_valid is None else e.is_valid for e in entries),
+                              np.int8, L),
+            track_ids=tuple(codes),
+        )
+
+    def frames(self) -> list[FrameRecord]:
+        """The table as frame records, the inverse of `from_frames`."""
+        entries = [
+            LineEntry(self.track_ids[track], offset, cont, det,
+                      None if lri < 0 else lri, None if valid < 0 else bool(valid))
+            for track, offset, cont, det, lri, valid in zip(
+                self.track.tolist(), self.offset.tolist(), self.cont.tolist(),
+                self.det.tolist(), self.lri.tolist(), self.valid.tolist())
+        ]
+        bounds = np.searchsorted(self.line_frame, np.arange(len(self) + 1)).tolist()
+        return [
+            FrameRecord(frame_id, t, tuple(entries[bounds[i]:bounds[i + 1]]),
+                        None if math.isnan(lat) else (lat, lon),
+                        None if gt < 0 else gt, crossing)
+            for i, (frame_id, t, (lat, lon), gt, crossing) in enumerate(zip(
+                self.frame_ids.tolist(), self.t.tolist(), self.gnss.tolist(),
+                self.gt.tolist(), self.crossing.tolist()))
+        ]
+
+
 @dataclass(frozen=True)
 class ResultRecord:
     frame_id: int
@@ -91,6 +201,21 @@ class ResultRecord:
             raise SequenceFormatError(
                 f"lane marginal of frame {self.frame_id} does not sum to 1"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class ResultTable:
+    """Per-frame estimates of one sequence as columns; row t is frame t."""
+
+    frame_ids: np.ndarray       # (T,) int
+    map_lane: np.ndarray        # (T,) int, 1-based
+    lane_marginal: np.ndarray   # (T, n)
+    sensor_ok_prob: np.ndarray  # (T,)
+    tentative: np.ndarray       # (T, n)
+    wor_frac: np.ndarray        # (T,)
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -114,6 +239,31 @@ def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
+def _strict(value, kind: type, name: str, path, lineno: int):
+    """`value` if it is exactly a JSON `kind`: bool, int, str, or for
+    `float` any finite JSON number (returned as a float).
+
+    No coercion: "false" is not a boolean, 2.9 is not a lane index, 5 is
+    not a track id and "1.5" or NaN is not a timestamp.
+    """
+    if kind is float:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    elif type(value) is kind:
+        return value
+    what = {bool: "boolean", int: "integer", str: "string", float: "finite number"}[kind]
+    raise SequenceFormatError(
+        f"{name} must be a JSON {what}, got {value!r}", path=path, line=lineno
+    )
+
+
+def _required(obj: dict, key: str, kind: type, what: str, path, lineno: int):
+    """`obj[key]` through `_strict`; a missing key is a format error too."""
+    if key not in obj:
+        raise SequenceFormatError(f"{what} lacks field '{key}'", path=path, line=lineno)
+    return _strict(obj[key], kind, key, path, lineno)
+
+
 def _parse_header(obj: dict, path, lineno: int, expect_content: str) -> SequenceHeader:
     if obj.get("format") != FORMAT_VERSION:
         raise SequenceFormatError(
@@ -128,135 +278,183 @@ def _parse_header(obj: dict, path, lineno: int, expect_content: str) -> Sequence
         )
     try:
         return SequenceHeader(
-            n_lanes=int(obj["n_lanes"]),
-            lane_width_m=float(obj.get("lane_width_m", 3.5)),
-            fps=float(obj.get("fps", 10.0)),
+            n_lanes=_required(obj, "n_lanes", int, "header", path, lineno),
+            lane_width_m=_strict(obj.get("lane_width_m", 3.5), float, "lane_width_m",
+                                 path, lineno),
+            fps=_strict(obj.get("fps", 10.0), float, "fps", path, lineno),
             source=str(obj.get("source", "")),
             lri_source=str(obj.get("lri_source", "recompute")),
         )
-    except KeyError as exc:
-        raise SequenceFormatError(f"header lacks field {exc}", path=path, line=lineno) from None
-    except (TypeError, ValueError) as exc:
-        raise SequenceFormatError(f"bad header field: {exc}", path=path, line=lineno) from None
+    except SequenceFormatError as exc:
+        if exc.line is not None:  # a field check, already located
+            raise
+        raise SequenceFormatError(str(exc), path=path, line=lineno) from None
 
 
-def _strict(value, kind: type, name: str, path, lineno: int):
-    """`value` if it is exactly a JSON `kind`: bool, int, or for `float`
-    any finite JSON number (returned as a float).
+def _read_header(lines: Iterator[tuple[int, str]], path: Path, content: str) -> SequenceHeader:
+    try:
+        lineno, raw = next(lines)
+    except StopIteration:
+        raise SequenceFormatError("file has no header line", path=path) from None
+    return _parse_header(_parse_json_line(raw, path, lineno), path, lineno, content)
 
-    No coercion: "false" is not a boolean, 2.9 is not a lane index and
-    "1.5" or NaN is not a timestamp.
+
+def _read_frames(lines: Iterator[tuple[int, str]], header: SequenceHeader,
+                 path: Path) -> SequenceTable:
+    """The frame lines of a sequence file, parsed and checked into a table.
+
+    One pass, one `json.loads` per line: each field gets an inline type
+    test, and `_strict` or `_required` runs only for a field that fails
+    it, to convert an integral number to a float or raise its error.
     """
-    if kind is float:
-        if type(value) in (int, float) and math.isfinite(value):
-            return float(value)
-    elif type(value) is kind:
-        return value
-    what = {bool: "boolean", int: "integer", float: "finite number"}[kind]
-    raise SequenceFormatError(
-        f"{name} must be a JSON {what}, got {value!r}", path=path, line=lineno
-    )
-
-
-def _parse_line_entry(obj: dict, path, lineno: int, require_lri: bool) -> LineEntry:
-    try:
-        entry = LineEntry(
-            track_id=str(obj["track"]),
-            offset_m=_strict(obj["offset"], float, "offset", path, lineno),
-            continuous=_strict(obj["cont"], bool, "cont", path, lineno),
-            detected=_strict(obj["det"], bool, "det", path, lineno),
-            lri=_strict(obj["lri"], int, "lri", path, lineno) if "lri" in obj else None,
-            is_valid=_strict(obj["valid"], bool, "valid", path, lineno)
-            if "valid" in obj else None,
-        )
-    except KeyError as exc:
-        raise SequenceFormatError(f"line entry lacks field {exc}", path=path, line=lineno) from None
-    except (TypeError, ValueError) as exc:
-        raise SequenceFormatError(f"bad line entry: {exc}", path=path, line=lineno) from None
-    if abs(entry.offset_m) >= MAX_LINE_OFFSET_M:
-        raise SequenceFormatError(
-            f"line offset out of bounds: {entry.offset_m}", path=path, line=lineno
-        )
-    if entry.lri is not None and entry.lri < 0:
-        raise SequenceFormatError(
-            f"lri must be a JSON integer >= 0, got {entry.lri}", path=path, line=lineno
-        )
-    if require_lri and (entry.lri is None or entry.is_valid is None):
-        raise SequenceFormatError(
-            "lri_source=log requires lri and valid on every line", path=path, line=lineno
-        )
-    return entry
-
-
-def _parse_frame(obj: dict, header: SequenceHeader, path, lineno: int) -> FrameRecord:
     require_lri = header.lri_source == "log"
-    try:
-        frame_id = _strict(obj["id"], int, "id", path, lineno)
-        timestamp = _strict(obj["t"], float, "t", path, lineno)
-        raw_lines = obj.get("lines", [])
-        gnss = obj.get("gnss")
-        gt = obj.get("gt")
-        crossing = _strict(obj.get("crossing", False), bool, "crossing", path, lineno)
-    except KeyError as exc:
-        raise SequenceFormatError(f"frame lacks field {exc}", path=path, line=lineno) from None
-    except (TypeError, ValueError) as exc:
-        raise SequenceFormatError(f"bad frame field: {exc}", path=path, line=lineno) from None
-    if gnss is not None:
-        if not (isinstance(gnss, list) and len(gnss) == 2):
+    n_lanes = header.n_lanes
+    isfinite = math.isfinite
+    codes: dict[str, int] = {}
+    frame_ids, ts, gts, crossings, gnss, source_lines = [], [], [], [], [], []
+    line_frame, tracks, offsets, conts, dets, lris, valids = [], [], [], [], [], [], []
+    for lineno, raw in lines:
+        obj = _parse_json_line(raw, path, lineno)
+        frame_id = obj.get("id")
+        if type(frame_id) is not int:
+            _required(obj, "id", int, "frame", path, lineno)
+        t = obj.get("t")
+        if type(t) is not float or not isfinite(t):
+            t = _required(obj, "t", float, "frame", path, lineno)
+        crossing = obj.get("crossing", False)
+        if type(crossing) is not bool:
+            _strict(crossing, bool, "crossing", path, lineno)
+        fix = obj.get("gnss")
+        if fix is None:
+            gnss += (math.nan, math.nan)
+        elif type(fix) is list and len(fix) == 2:
+            gnss += (_strict(x, float, "gnss", path, lineno) for x in fix)
+        else:
             raise SequenceFormatError("gnss must be [lat, lon]", path=path, line=lineno)
-        gnss = tuple(_strict(x, float, "gnss", path, lineno) for x in gnss)
-    if gt is not None:
-        _strict(gt, int, "gt", path, lineno)
-        if not 1 <= gt <= header.n_lanes:
+        gt = obj.get("gt")
+        if gt is None:
+            gt = -1
+        else:
+            if type(gt) is not int:
+                _strict(gt, int, "gt", path, lineno)
+            if not 1 <= gt <= n_lanes:
+                raise SequenceFormatError(
+                    f"gt_lane {gt} outside [1, {n_lanes}]", path=path, line=lineno
+                )
+        entries = obj.get("lines", [])
+        if type(entries) is not list:
             raise SequenceFormatError(
-                f"gt_lane {gt} outside [1, {header.n_lanes}]", path=path, line=lineno
-            )
-    lines = tuple(
-        _parse_line_entry(entry, path, lineno, require_lri) for entry in raw_lines
-    )
-    track_ids = set()
-    for entry in lines:
-        if entry.track_id in track_ids:
-            raise SequenceFormatError(
-                f"track id {entry.track_id!r} reported twice in one frame",
+                f"lines must be a JSON array of objects, got {entries!r}",
                 path=path, line=lineno,
             )
-        track_ids.add(entry.track_id)
-    return FrameRecord(
-        frame_id=frame_id,
-        timestamp_s=timestamp,
-        lines=lines,
-        gnss=gnss,
-        gt_lane=gt,
-        crossing=crossing,
+        frame = len(frame_ids)
+        first = len(tracks)
+        for entry in entries:
+            if type(entry) is not dict:
+                raise SequenceFormatError(
+                    f"lines must be a JSON array of objects, got an entry {entry!r}",
+                    path=path, line=lineno,
+                )
+            track = entry.get("track")
+            if type(track) is not str:
+                _required(entry, "track", str, "line entry", path, lineno)
+            offset = entry.get("offset")
+            if type(offset) is not float or not isfinite(offset):
+                offset = _required(entry, "offset", float, "line entry", path, lineno)
+            cont = entry.get("cont")
+            if type(cont) is not bool:
+                _required(entry, "cont", bool, "line entry", path, lineno)
+            det = entry.get("det")
+            if type(det) is not bool:
+                _required(entry, "det", bool, "line entry", path, lineno)
+            lri = entry.get("lri", -1)
+            if type(lri) is not int:
+                _strict(lri, int, "lri", path, lineno)
+            valid = entry.get("valid", -1)
+            if type(valid) is not bool and "valid" in entry:
+                _strict(valid, bool, "valid", path, lineno)
+            if not abs(offset) < MAX_LINE_OFFSET_M:
+                raise SequenceFormatError(
+                    f"line offset out of bounds: {offset}", path=path, line=lineno
+                )
+            if lri < 0 and "lri" in entry:
+                raise SequenceFormatError(
+                    f"lri must be a JSON integer >= 0, got {lri}", path=path, line=lineno
+                )
+            if require_lri and (lri < 0 or valid == -1):
+                raise SequenceFormatError(
+                    "lri_source=log requires lri and valid on every line",
+                    path=path, line=lineno,
+                )
+            line_frame.append(frame)
+            tracks.append(codes.setdefault(track, len(codes)))
+            offsets.append(offset)
+            conts.append(cont)
+            dets.append(det)
+            lris.append(lri)
+            valids.append(valid)
+        if len(set(tracks[first:])) < len(tracks) - first:
+            seen = set()
+            for entry in entries:
+                if entry["track"] in seen:
+                    raise SequenceFormatError(
+                        f"track id {entry['track']!r} reported twice in one frame",
+                        path=path, line=lineno,
+                    )
+                seen.add(entry["track"])
+        if frame_ids and frame_id <= frame_ids[-1]:
+            raise SequenceFormatError(
+                f"frame ids not strictly increasing ({frame_id} after {frame_ids[-1]})",
+                path=path, line=lineno,
+            )
+        frame_ids.append(frame_id)
+        ts.append(t)
+        gts.append(gt)
+        crossings.append(crossing)
+        source_lines.append(lineno)
+    return SequenceTable(
+        frame_ids=np.array(frame_ids, dtype=int),
+        t=np.array(ts, dtype=float),
+        gt=np.array(gts, dtype=int),
+        crossing=np.array(crossings, dtype=bool),
+        gnss=np.array(gnss, dtype=float).reshape(-1, 2),
+        source_line=np.array(source_lines, dtype=int),
+        line_frame=np.array(line_frame, dtype=int),
+        track=np.array(tracks, dtype=int),
+        offset=np.array(offsets, dtype=float),
+        cont=np.array(conts, dtype=bool),
+        det=np.array(dets, dtype=bool),
+        lri=np.array(lris, dtype=int),
+        valid=np.array(valids, dtype=np.int8),
+        track_ids=tuple(codes),
+        path=path,
     )
 
 
-def read_sequence(path: str | Path) -> tuple[SequenceHeader, Iterator[FrameRecord]]:
-    """Open a sequence file; frames are parsed lazily, in file order.
+def read_table(path: str | Path) -> tuple[SequenceHeader, SequenceTable]:
+    """Read a sequence file into columns.
 
     Raises SequenceFormatError with the offending line number on malformed
     records, missing header, or non-monotonic frame ids.
     """
     path = Path(path)
     lines = _content_lines(path)
-    try:
-        lineno, raw = next(lines)
-    except StopIteration:
-        raise SequenceFormatError("file has no header line", path=path) from None
-    header = _parse_header(_parse_json_line(raw, path, lineno), path, lineno, "sequence")
+    header = _read_header(lines, path, "sequence")
+    return header, _read_frames(lines, header, path)
+
+
+def read_sequence(path: str | Path) -> tuple[SequenceHeader, Iterator[FrameRecord]]:
+    """Open a sequence file: the header now, its frames as they are consumed.
+
+    The frames are `read_table`'s, so the first one consumed raises the
+    file's first format error, with its line number.
+    """
+    path = Path(path)
+    lines = _content_lines(path)
+    header = _read_header(lines, path, "sequence")
 
     def frames() -> Iterator[FrameRecord]:
-        last_id = None
-        for lineno, raw in lines:
-            frame = _parse_frame(_parse_json_line(raw, path, lineno), header, path, lineno)
-            if last_id is not None and frame.frame_id <= last_id:
-                raise SequenceFormatError(
-                    f"frame ids not strictly increasing ({frame.frame_id} after {last_id})",
-                    path=path, line=lineno,
-                )
-            last_id = frame.frame_id
-            yield frame
+        yield from _read_frames(lines, header, path).frames()
 
     return header, frames()
 
@@ -313,24 +511,26 @@ def write_sequence(
         raise SequenceFormatError(f"cannot write sequence: {exc}", path=path) from None
 
 
-def write_results(
-    path: str | Path, header: SequenceHeader, results: Iterable[ResultRecord]
-) -> None:
-    """Write per-frame estimates; the file round-trips through read_results."""
+def write_results(path: str | Path, header: SequenceHeader, results: ResultTable) -> None:
+    """Write per-frame estimates; the file round-trips through read_results.
+
+    Each row is one format template filled with `repr`s of Python ints and
+    floats, the same text `json.dumps` gives for the finite values a
+    filter produces.
+    """
     path = Path(path)
+    vector = ", ".join(["{!r}"] * results.lane_marginal.shape[1])
+    template = ('{{"id": {!r}, "map_lane": {!r}, "marginal": [' + vector
+                + '], "sensor_ok": {!r}, "tentative": [' + vector + '], "wor": {!r}}}\n')
+    rows = zip(
+        results.frame_ids.tolist(), results.map_lane.tolist(),
+        *results.lane_marginal.T.tolist(), results.sensor_ok_prob.tolist(),
+        *results.tentative.T.tolist(), results.wor_frac.tolist(),
+    )
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(_header_obj(header, "results")) + "\n")
-            for rec in results:
-                obj = {
-                    "id": rec.frame_id,
-                    "map_lane": rec.map_lane,
-                    "marginal": list(rec.lane_marginal),
-                    "sensor_ok": rec.sensor_ok_prob,
-                    "tentative": list(rec.tentative),
-                    "wor": rec.wor_frac,
-                }
-                fh.write(json.dumps(obj) + "\n")
+            fh.writelines(starmap(template.format, rows))
     except OSError as exc:
         raise SequenceFormatError(f"cannot write results: {exc}", path=path) from None
 
@@ -346,11 +546,7 @@ def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
     """
     path = Path(path)
     lines = _content_lines(path)
-    try:
-        lineno, raw = next(lines)
-    except StopIteration:
-        raise SequenceFormatError("file has no header line", path=path) from None
-    header = _parse_header(_parse_json_line(raw, path, lineno), path, lineno, "results")
+    header = _read_header(lines, path, "results")
     records = []
     for lineno, raw in lines:
         obj = _parse_json_line(raw, path, lineno)

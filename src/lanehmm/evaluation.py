@@ -5,6 +5,9 @@ mid-change) and frames without annotation.  The confusion matrix carries
 an extra estimate row for "no assignment", which only the detector-only
 baseline can produce: the filter always has a MAP lane, a raw detector
 genuinely cannot always decide.
+
+An estimate stream is a pair of arrays `(frame_ids, lanes)`, lane 0
+meaning no assignment; streams are aligned with the truth by frame id.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import FrameRecord
+from .dataset_io import SequenceTable
 from .errors import ConfigError, LaneHmmError
 from .pipeline import EvidenceStream, tentative_matrix
 
-NO_ASSIGNMENT = None
+NO_ASSIGNMENT = 0
+
+Estimates = tuple  # (frame_ids, lanes), two (T,) int arrays
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,7 @@ class EvalResult:
         }
 
 
-def detector_baseline(
-    evidence: EvidenceStream, bv: float
-) -> list[tuple[int, int | None]]:
+def detector_baseline(evidence: EvidenceStream, bv: float) -> Estimates:
     """Per-frame argmax of the raw tentative vector, without the filter.
 
     Emits no assignment when the counters are all zero or the argmax is
@@ -76,45 +79,47 @@ def detector_baseline(
     tentative = tentative_matrix(evidence, bv)
     top = tentative == tentative.max(axis=1, keepdims=True)
     decided = (top.sum(axis=1) == 1) & tentative.any(axis=1)
-    lanes = top.argmax(axis=1) + 1
-    return [
-        (frame_id, lane if ok else NO_ASSIGNMENT)
-        for frame_id, lane, ok in zip(
-            evidence.frame_ids.tolist(), lanes.tolist(), decided.tolist()
-        )
-    ]
+    return evidence.frame_ids, np.where(decided, top.argmax(axis=1) + 1, NO_ASSIGNMENT)
 
 
-def evaluate(
-    estimates: list[tuple[int, int | None]],
-    truth: list[FrameRecord],
-    n_lanes: int,
-) -> EvalResult:
+def _lookup(estimates: Estimates, frame_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The estimated lane of each of `frame_ids` (0 where the stream has
+    none) and whether the stream has one; a frame estimated twice is a
+    ConfigError."""
+    ids, lanes = (np.asarray(column, dtype=int) for column in estimates)
+    order = np.argsort(ids, kind="stable")
+    ids, lanes = ids[order], lanes[order]
+    again = np.flatnonzero(ids[1:] == ids[:-1]) + 1
+    if len(again):
+        first = again[np.argmin(order[again])]  # the repeat that comes first in the stream
+        raise ConfigError(f"duplicate estimate for frame {ids[first]}")
+    pos = np.searchsorted(ids, frame_ids)
+    found = pos < len(ids)
+    found[found] = ids[pos[found]] == frame_ids[found]
+    aligned = np.full(len(frame_ids), NO_ASSIGNMENT)
+    aligned[found] = lanes[pos[found]]
+    return aligned, found
+
+
+def evaluate(estimates: Estimates, truth: SequenceTable, n_lanes: int) -> EvalResult:
     """Score an estimate stream against annotated frames.
 
     Streams are aligned by frame_id; every annotated non-crossing truth
     frame must have exactly one estimate, or a ConfigError is raised.
     """
-    by_id: dict[int, int | None] = {}
-    for frame_id, lane in estimates:
-        if frame_id in by_id:
-            raise ConfigError(f"duplicate estimate for frame {frame_id}")
-        by_id[frame_id] = lane
-    confusion = np.zeros((n_lanes + 1, n_lanes), dtype=int)
-    skipped_crossing = 0
-    skipped_no_gt = 0
-    for frame in truth:
-        if frame.crossing:
-            skipped_crossing += 1
-            continue
-        if frame.gt_lane is None:
-            skipped_no_gt += 1
-            continue
-        if frame.frame_id not in by_id:
-            raise ConfigError(f"no estimate for annotated frame {frame.frame_id}")
-        lane = by_id[frame.frame_id]
-        row = n_lanes if lane is None else lane - 1
-        confusion[row, frame.gt_lane - 1] += 1
+    lanes, found = _lookup(estimates, truth.frame_ids)
+    scored = ~truth.crossing & (truth.gt > 0)
+    missing = np.flatnonzero(scored & ~found)
+    if len(missing):
+        raise ConfigError(f"no estimate for annotated frame {truth.frame_ids[missing[0]]}")
+    lanes = lanes[scored]
+    outside = np.flatnonzero((lanes < 0) | (lanes > n_lanes))
+    if len(outside):
+        raise ConfigError(f"estimated lane {lanes[outside[0]]} outside [1, {n_lanes}]")
+    rows = np.where(lanes == NO_ASSIGNMENT, n_lanes, lanes - 1)
+    cells = rows * n_lanes + truth.gt[scored] - 1
+    confusion = np.bincount(cells, minlength=(n_lanes + 1) * n_lanes)
+    confusion = confusion.reshape(n_lanes + 1, n_lanes)
     evaluated = int(confusion.sum())
     correct = int(np.trace(confusion[:n_lanes]))
     accuracy = correct / evaluated if evaluated else 0.0
@@ -123,38 +128,26 @@ def evaluate(
         confusion=confusion,
         accuracy=accuracy,
         evaluated=evaluated,
-        skipped_crossing=skipped_crossing,
-        skipped_no_gt=skipped_no_gt,
+        skipped_crossing=int(truth.crossing.sum()),
+        skipped_no_gt=int((~truth.crossing & (truth.gt < 0)).sum()),
     )
 
 
-@dataclass(frozen=True)
-class TimelineRow:
-    frame_id: int
-    gt_lane: int | None
-    crossing: bool
-    baseline: int | None
-    model: int | None
-
-
 def make_timeline(
-    truth: list[FrameRecord],
-    model_estimates: list[tuple[int, int | None]],
-    baseline_estimates: list[tuple[int, int | None]],
-) -> list[TimelineRow]:
-    """Aligned per-frame table from which transition plots can be drawn."""
-    model_by_id = dict(model_estimates)
-    baseline_by_id = dict(baseline_estimates)
-    return [
-        TimelineRow(
-            frame_id=frame.frame_id,
-            gt_lane=frame.gt_lane,
-            crossing=frame.crossing,
-            baseline=baseline_by_id.get(frame.frame_id),
-            model=model_by_id.get(frame.frame_id),
-        )
-        for frame in truth
-    ]
+    truth: SequenceTable, model: Estimates, baseline: Estimates
+) -> dict[str, np.ndarray]:
+    """Aligned per-frame columns from which transition plots can be drawn.
+
+    Columns frame_id, gt, crossing, baseline and model; lane 0 means no
+    annotation or no assignment.
+    """
+    return {
+        "frame_id": truth.frame_ids,
+        "gt": np.maximum(truth.gt, 0),
+        "crossing": truth.crossing,
+        "baseline": _lookup(baseline, truth.frame_ids)[0],
+        "model": _lookup(model, truth.frame_ids)[0],
+    }
 
 
 @dataclass

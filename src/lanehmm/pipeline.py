@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import FrameRecord, ResultRecord, SequenceHeader
-from .errors import ConfigError, SequenceFormatError
+from .dataset_io import ResultTable, SequenceHeader, SequenceTable
+from .errors import ConfigError
 from .filtering import forward, init_belief, lane_marginal, likelihood
 from .inverse_sensor import MAX_LINE_OFFSET_M, normalize_tentative
 from .model_core import CptSet, HmmParams, RuntimeConfig
@@ -45,7 +45,7 @@ class EvidenceStream:
         return len(self.frame_ids)
 
 
-def _recomputed_lri(entries, frame_idx, T, cfg):
+def _recomputed_lri(table: SequenceTable, cfg: RuntimeConfig):
     """LRI and validity of every line entry, as `LriTracker` would give them.
 
     The LRI of a track at frame t counts its detections in (t - window, t].
@@ -56,22 +56,19 @@ def _recomputed_lri(entries, frame_idx, T, cfg):
     before it, and memory stays O(line entries).
     """
     window = cfg.lri_window
-    stride = T + window  # no window reaching back from a track's keys meets another track
-    codes: dict[str, int] = {}
-    keys = np.fromiter((codes.setdefault(e.track_id, len(codes)) for e in entries),
-                       int, len(entries))
-    keys *= stride
-    keys += frame_idx
+    # No window reaching back from a track's keys meets another track's.
+    stride = len(table) + window
+    keys = table.track * stride
+    keys += table.line_frame
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
     if len(repeats):
         first = repeats[np.argmin(order[repeats])]
         raise ValueError(
-            f"track id {list(codes)[keys[first] // stride]!r} reported twice in one frame"
+            f"track id {table.track_ids[keys[first] // stride]!r} reported twice in one frame"
         )
-    det = np.fromiter((e.detected for e in entries), bool, len(entries))
-    det_keys = keys[det[order]]
+    det_keys = keys[table.det[order]]
     lri = np.searchsorted(det_keys, keys, "right")
     before = np.searchsorted(det_keys, keys, "left")  # LRI in the frame before
     keys -= window  # where each window starts
@@ -122,50 +119,52 @@ def _tentative_counts(frame_idx, offset, cont, T, n, cfg):
 
 
 def build_evidence(
-    header: SequenceHeader, frames: list[FrameRecord], cfg: RuntimeConfig | None = None
+    header: SequenceHeader, table: SequenceTable, cfg: RuntimeConfig | None = None
 ) -> EvidenceStream:
     """Run the inverse sensor model over a whole sequence in one columnar pass.
 
     Bit-identical to `LriTracker.update`, `tentative_parts` and
     `compute_wor` applied frame by frame.  `cfg` defaults to the standard
-    thresholds at the header's lane width.
+    thresholds at the header's lane width.  A logged `lri` must lie in
+    [0, cfg.lri_window]; one above it is a SequenceFormatError at its line.
     """
     if cfg is None:
         cfg = RuntimeConfig(lane_width=header.lane_width_m)
     n = header.n_lanes
-    T = len(frames)
-    entries = [entry for frame in frames for entry in frame.lines]
-    L = len(entries)
-    frame_idx = np.repeat(
-        np.arange(T), np.fromiter((len(frame.lines) for frame in frames), int, T))
-    offset = np.fromiter((e.offset_m for e in entries), float, L)
-    cont = np.fromiter((e.continuous for e in entries), bool, L)
+    T = len(table)
+    frame_idx = table.line_frame
     if header.lri_source == "log":
-        missing = next((e for e in entries if e.lri is None or e.is_valid is None), None)
-        if missing is not None:
-            raise SequenceFormatError(
-                f"line {missing.track_id!r} lacks precomputed lri/valid fields"
-            )
-        lri = np.fromiter((e.lri for e in entries), int, L)
-        valid = np.fromiter((e.is_valid for e in entries), bool, L)
+        missing = np.flatnonzero((table.lri < 0) | (table.valid < 0))
+        if len(missing):
+            i = missing[0]
+            raise table.error(f"line {table.track_ids[table.track[i]]!r} lacks "
+                              "precomputed lri/valid fields", frame_idx[i])
+        above = np.flatnonzero(table.lri > cfg.lri_window)
+        if len(above):
+            i = above[0]
+            raise table.error(f"line {table.track_ids[table.track[i]]!r} has lri "
+                              f"{table.lri[i]} above the LRI window {cfg.lri_window}",
+                              frame_idx[i])
+        lri = table.lri
+        valid = table.valid == 1
     else:
-        bad = np.flatnonzero(~(np.abs(offset) < MAX_LINE_OFFSET_M))
+        bad = np.flatnonzero(~(np.abs(table.offset) < MAX_LINE_OFFSET_M))
         if len(bad):
-            raise ValueError(f"line offset out of sanity bounds: {offset[bad[0]]}")
-        lri, valid = _recomputed_lri(entries, frame_idx, T, cfg)
+            raise ValueError(f"line offset out of sanity bounds: {table.offset[bad[0]]}")
+        lri, valid = _recomputed_lri(table, cfg)
 
-    base, bonus = _tentative_counts(frame_idx[valid], offset[valid], cont[valid], T, n, cfg)
+    base, bonus = _tentative_counts(
+        frame_idx[valid], table.offset[valid], table.cont[valid], T, n, cfg)
     total = np.bincount(frame_idx, weights=lri, minlength=T)
     wor_frac = np.clip(total / (cfg.lri_window * (n + 1)), 0.0, 1.0)
     return EvidenceStream(
         n=n,
-        frame_ids=np.fromiter((frame.frame_id for frame in frames), int, T),
+        frame_ids=table.frame_ids,
         base=base,
         bonus=bonus,
         wor_frac=wor_frac,
-        gt_lane=np.fromiter(
-            (-1 if frame.gt_lane is None else frame.gt_lane for frame in frames), int, T),
-        crossing=np.fromiter((frame.crossing for frame in frames), bool, T),
+        gt_lane=table.gt,
+        crossing=table.crossing,
     )
 
 
@@ -214,23 +213,23 @@ def filter_blocks(evidence: EvidenceStream, cpts: CptSet, bv, belief: np.ndarray
         yield rows, posteriors
 
 
-def run_sequence(evidence: EvidenceStream, params: HmmParams) -> list[ResultRecord]:
-    """Filter a sequence's evidence and collect per-frame estimates.
+def run_sequence(evidence: EvidenceStream, params: HmmParams) -> ResultTable:
+    """Filter a sequence's evidence into per-frame estimate columns.
 
-    The records equal those of a `LaneFilter` stepped frame by frame; MAP
-    ties break toward the lowest lane.
+    Row t equals what a `LaneFilter` stepped frame by frame holds after
+    frame t; MAP ties break toward the lowest lane.
     """
     cpts = CptSet.from_params(params)
-    results = []
+    marginal = np.empty((len(evidence), evidence.n))
+    sensor_ok = np.empty(len(evidence))
     for rows, posteriors in filter_blocks(evidence, cpts, params.bv, init_belief(params)):
-        marginal = lane_marginal(posteriors)
-        results += map(
-            ResultRecord,  # frame_id, map_lane, lane_marginal, sensor_ok_prob, tentative, wor_frac
-            evidence.frame_ids[rows].tolist(),
-            (marginal.argmax(axis=-1) + 1).tolist(),
-            map(tuple, marginal.tolist()),
-            posteriors[..., 0].sum(axis=-1).tolist(),
-            map(tuple, tentative_matrix(evidence, params.bv, rows).tolist()),
-            evidence.wor_frac[rows].tolist(),
-        )
-    return results
+        marginal[rows] = lane_marginal(posteriors)
+        sensor_ok[rows] = posteriors[..., 0].sum(axis=-1)
+    return ResultTable(
+        frame_ids=evidence.frame_ids,
+        map_lane=marginal.argmax(axis=1) + 1,
+        lane_marginal=marginal,
+        sensor_ok_prob=sensor_ok,
+        tentative=tentative_matrix(evidence, params.bv),
+        wor_frac=evidence.wor_frac,
+    )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset_io import SequenceTable
 from .errors import ConfigError, EmptyObjectiveError, ParameterError
 from .evaluation import evaluate
 from .filtering import init_belief, lane_marginal
@@ -27,7 +28,7 @@ from .pipeline import (
     run_sequence,
 )
 
-Sequence = tuple  # (SequenceHeader, list[FrameRecord])
+Sequence = tuple  # (SequenceHeader, SequenceTable or list[FrameRecord])
 
 _CONTINUOUS_DIMS = ("sigma1", "sigma2", "p1", "p2", "p3", "p4")
 
@@ -67,8 +68,14 @@ def _common_lane_count(sequences: list[Sequence]) -> int:
     return counts.pop()
 
 
+def _table(frames) -> SequenceTable:
+    if isinstance(frames, SequenceTable):
+        return frames
+    return SequenceTable.from_frames(frames)
+
+
 def _evidence_list(sequences: list[Sequence]) -> list[EvidenceStream]:
-    return [build_evidence(header, list(frames)) for header, frames in sequences]
+    return [build_evidence(header, _table(frames)) for header, frames in sequences]
 
 
 def _batch_accuracy(
@@ -110,10 +117,9 @@ def objective(params: HmmParams, sequences: list[Sequence]) -> float:
     total_correct = 0
     total_evaluated = 0
     for header, frames in sequences:
-        frames = list(frames)
-        results = run_sequence(build_evidence(header, frames), params)
-        estimates = [(r.frame_id, r.map_lane) for r in results]
-        result = evaluate(estimates, frames, header.n_lanes)
+        table = _table(frames)
+        results = run_sequence(build_evidence(header, table), params)
+        result = evaluate((results.frame_ids, results.map_lane), table, header.n_lanes)
         total_correct += result.correct
         total_evaluated += result.evaluated
     if total_evaluated == 0:
@@ -206,7 +212,11 @@ def coordinate_refine(
 
 
 def split_half(header, frames) -> tuple[Sequence, Sequence]:
-    """Default train/eval split: first half of the sequence vs. the rest."""
-    frames = list(frames)
+    """Default train/eval split: first half of the sequence vs. the rest.
+
+    `frames` is a SequenceTable or frame records; the halves are of its kind.
+    """
+    if not isinstance(frames, SequenceTable):
+        frames = list(frames)
     mid = len(frames) // 2
     return (header, frames[:mid]), (header, frames[mid:])

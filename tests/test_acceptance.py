@@ -12,6 +12,7 @@ import pytest
 
 from lanehmm import evaluation, tuner
 from lanehmm.cli import end_to_end_check
+from lanehmm.dataset_io import SequenceTable
 from lanehmm.filtering import LaneFilter, init_belief, predict, update
 from lanehmm.inverse_sensor import (
     LriTracker,
@@ -174,13 +175,14 @@ def test_criterion_5_model_beats_detector(tuned_runs):
     deltas = {}
     for label in ("3-lane", "4-lane"):
         config, header, frames, params = tuned_runs[label]
-        evidence = build_evidence(header, frames)
+        table = SequenceTable.from_frames(frames)
+        evidence = build_evidence(header, table)
         results = run_sequence(evidence, params)
         model = evaluation.evaluate(
-            [(r.frame_id, r.map_lane) for r in results], frames, config.n_lanes
+            (results.frame_ids, results.map_lane), table, config.n_lanes
         )
         baseline = evaluation.evaluate(
-            evaluation.detector_baseline(evidence, params.bv), frames, config.n_lanes
+            evaluation.detector_baseline(evidence, params.bv), table, config.n_lanes
         )
         delta = model.accuracy - baseline.accuracy
         deltas[label] = (model.accuracy, baseline.accuracy, delta)
@@ -221,8 +223,8 @@ def test_criterion_6_missed_transition_recovery():
             return None
         new_lane = int(truth.gt_lane[start + 8])
         blinded = inject_burst(frames, dropout_start, 10, "dropout")
-        results = run_sequence(build_evidence(header, blinded), params)
-        return any(r.map_lane == new_lane for r in results[resume:probe_end])
+        results = run_sequence(build_evidence(header, SequenceTable.from_frames(blinded)), params)
+        return bool((results.map_lane[resume:probe_end] == new_lane).any())
 
     successes = 0
     completed = 0

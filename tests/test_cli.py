@@ -74,6 +74,20 @@ def test_run_produces_metrics_summary(capsys, sim3, tmp_path):
     assert header.split("\t") == ["frame_id", "gt", "crossing", "baseline", "model"]
 
 
+def test_run_timeline_marks_missing_lanes(capsys, tmp_path):
+    path = tmp_path / "partly_annotated.seq"
+    path.write_text('{"format": 1, "n_lanes": 3}\n'
+                    '{"id": 4, "t": 0.0, "lines": [], "gt": 2}\n'
+                    '{"id": 7, "t": 0.1, "lines": [], "crossing": true}\n')
+    trace = tmp_path / "tl.tsv"
+    code, _, _ = run_cli(capsys, "run", "--input", str(path), "--preset", "spain-run06",
+                         "--trace", str(trace))
+    assert code == 0
+    # No lines: the baseline cannot decide, the filter follows its lane prior.
+    assert trace.read_text().splitlines() == [
+        "frame_id\tgt\tcrossing\tbaseline\tmodel", "4\t2\t0\t-\t2", "7\t-\t1\t-\t2"]
+
+
 def test_run_twice_byte_identical(capsys, sim3, tmp_path):
     outs = []
     for name in ("r1.out", "r2.out"):
@@ -122,6 +136,50 @@ def test_run_negative_logged_lri_is_input_error(capsys, tmp_path):
     assert code == cli.EXIT_INPUT
     assert stdout == ""
     assert f"{path}:3: lri must be a JSON integer >= 0, got -500" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_run_logged_lri_above_window_is_input_error(capsys, tmp_path):
+    line = {"track": "b0", "offset": -1.75, "cont": True, "det": True,
+            "lri": 10, "valid": True}
+    path = tmp_path / "lri_above.seq"
+    path.write_text('{"format": 1, "n_lanes": 3, "lri_source": "log"}\n'
+                    + json.dumps({"id": 0, "t": 0.0, "lines": [line]}) + "\n"
+                    + json.dumps({"id": 1, "t": 0.1, "lines": [dict(line, lri=500)]}) + "\n")
+    code, stdout, stderr = run_cli(
+        capsys, "run", "--input", str(path), "--preset", "spain-run06"
+    )
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert f"{path}:3: line 'b0' has lri 500 above the LRI window 10" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "where, field, value, message",
+    [
+        ("frame", "lines", 5, "lines must be a JSON array of objects"),
+        ("line", "track", None, "track must be a JSON string"),
+        ("line", "track", 5, "track must be a JSON string"),
+        ("header", "n_lanes", 2.9, "n_lanes must be a JSON integer"),
+        ("header", "lane_width_m", "3.5", "lane_width_m must be a JSON finite number"),
+        ("header", "lane_width_m", float("nan"), "lane_width_m must be a JSON finite number"),
+        ("header", "fps", "Infinity", "fps must be a JSON finite number"),
+    ],
+)
+def test_run_malformed_sequence_is_input_error(capsys, tmp_path, where, field, value, message):
+    header = {"format": 1, "n_lanes": 3}
+    line = {"track": "b0", "offset": -1.75, "cont": True, "det": True}
+    frame = {"id": 0, "t": 0.0, "lines": [line], "gt": 2}
+    {"header": header, "frame": frame, "line": line}[where][field] = value
+    path = tmp_path / "malformed.seq"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(frame) + "\n")
+    code, stdout, stderr = run_cli(
+        capsys, "run", "--input", str(path), "--preset", "spain-run06"
+    )
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert f"{path}:{1 if where == 'header' else 2}: {message}" in stderr
     assert "Traceback" not in stderr
 
 

@@ -2,14 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lanehmm.dataset_io import (
     FrameRecord,
     LineEntry,
     ResultRecord,
+    ResultTable,
     SequenceHeader,
+    SequenceTable,
     read_results,
     read_sequence,
+    read_table,
     write_results,
     write_sequence,
 )
@@ -37,6 +42,18 @@ def random_frame(rng, frame_id, n=3):
         else None,
         gt_lane=int(rng.integers(1, n + 1)) if rng.integers(2) else None,
         crossing=bool(rng.integers(2)),
+    )
+
+
+def result_table(records, n):
+    """The columns of ResultRecords, as run_sequence returns them."""
+    return ResultTable(
+        frame_ids=np.array([r.frame_id for r in records], dtype=int),
+        map_lane=np.array([r.map_lane for r in records], dtype=int),
+        lane_marginal=np.array([r.lane_marginal for r in records], dtype=float).reshape(-1, n),
+        sensor_ok_prob=np.array([r.sensor_ok_prob for r in records], dtype=float),
+        tentative=np.array([r.tentative for r in records], dtype=float).reshape(-1, n),
+        wor_frac=np.array([r.wor_frac for r in records], dtype=float),
     )
 
 
@@ -143,6 +160,10 @@ def test_duplicate_track_id_in_frame_reports_line(tmp_path, lri_source):
         ("line", "offset", float("nan")),
         ("line", "offset", True),
         ("line", "lri", -500),
+        ("frame", "lines", 5),
+        ("frame", "lines", [5]),
+        ("line", "track", None),
+        ("line", "track", 5),
     ],
 )
 def test_reader_is_type_strict(tmp_path, where, field, value):
@@ -158,6 +179,27 @@ def test_reader_is_type_strict(tmp_path, where, field, value):
         list(frames)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_lanes", 2.9, "n_lanes must be a JSON integer"),
+        ("n_lanes", True, "n_lanes must be a JSON integer"),
+        ("n_lanes", 0, "n_lanes must be >= 1"),
+        ("lane_width_m", "3.5", "lane_width_m must be a JSON finite number"),
+        ("lane_width_m", float("nan"), "lane_width_m must be a JSON finite number"),
+        ("lane_width_m", 0, "lane_width_m must be > 0"),
+        ("fps", "Infinity", "fps must be a JSON finite number"),
+        ("fps", float("inf"), "fps must be a JSON finite number"),
+        ("fps", -10, "fps must be > 0"),
+    ],
+)
+def test_header_is_type_strict(tmp_path, field, value, message):
+    path = tmp_path / "header.seq"
+    path.write_text(json.dumps({"format": 1, "n_lanes": 3, field: value}) + "\n")
+    with pytest.raises(SequenceFormatError, match=f":1: {message}"):
+        read_table(path)
+
+
 # --- round trips ----------------------------------------------------------------
 
 def test_sequence_round_trip(tmp_path):
@@ -169,6 +211,122 @@ def test_sequence_round_trip(tmp_path):
     header2, frames2 = read_sequence(path)
     assert header2 == header
     assert list(frames2) == frames
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def logs(draw):
+    """A header and frames as a log would carry them, in either LRI source."""
+    n = draw(st.integers(1, 5))
+    log = draw(st.booleans())
+    optional = (lambda s: s) if log else (lambda s: st.none() | s)
+    line = st.builds(
+        lambda offset, cont, det, lri, valid: (offset, cont, det, lri, valid),
+        st.floats(-49.9, 49.9), st.booleans(), st.booleans(),
+        optional(st.integers(0, 20)), optional(st.booleans()),
+    )
+    frames = []
+    frame_id = draw(st.integers(-5, 5))
+    for _ in range(draw(st.integers(0, 8))):
+        lines = draw(st.dictionaries(st.text(max_size=3), line, max_size=4))
+        frames.append(FrameRecord(
+            frame_id=frame_id,
+            timestamp_s=draw(finite),
+            lines=tuple(LineEntry(track, *fields) for track, fields in lines.items()),
+            gnss=draw(st.none() | st.tuples(finite, finite)),
+            gt_lane=draw(st.none() | st.integers(1, n)),
+            crossing=draw(st.booleans()),
+        ))
+        frame_id += draw(st.integers(1, 3))
+    header = SequenceHeader(n_lanes=n, lri_source="log" if log else "recompute")
+    return header, frames
+
+
+@given(logs())
+@settings(max_examples=200)
+def test_read_table_equals_table_of_the_frames_written(tmp_path_factory, log):
+    header, frames = log
+    path = tmp_path_factory.getbasetemp() / "log.seq"
+    write_sequence(path, header, frames)
+    read_header, read = read_table(path)
+    built = SequenceTable.from_frames(frames)
+    assert read_header == header
+    for name in ("frame_ids", "t", "gt", "crossing", "gnss", "line_frame", "track", "offset",
+                 "cont", "det", "lri", "valid"):
+        a, b = getattr(read, name), getattr(built, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+    assert read.track_ids == built.track_ids
+    assert read.source_line.tolist() == list(range(2, len(frames) + 2))
+    assert read.frames() == built.frames() == frames
+
+
+def test_table_slices_are_tables_of_the_frame_slices():
+    rng = np.random.default_rng(33)
+    frames = [random_frame(rng, i) for i in range(40)]
+    table = SequenceTable.from_frames(frames)
+    for rows in (slice(None, 20), slice(20, None), slice(5, 5), slice(38, 100)):
+        assert table[rows].frames() == frames[rows]
+    with pytest.raises(ValueError, match="contiguous"):
+        table[::2]
+
+
+def json_dumps_results(header, results):
+    """The text of the per-record `json.dumps` results writer that the
+    one-template writer replaced, kept as its reference."""
+    lines = [json.dumps({"format": 1, "content": "results", "n_lanes": header.n_lanes,
+                         "lane_width_m": header.lane_width_m, "fps": header.fps,
+                         "source": header.source, "lri_source": header.lri_source})]
+    for frame_id, lane, marginal, ok, tentative, wor in zip(
+            results.frame_ids.tolist(), results.map_lane.tolist(),
+            results.lane_marginal.tolist(), results.sensor_ok_prob.tolist(),
+            results.tentative.tolist(), results.wor_frac.tolist()):
+        lines.append(json.dumps({"id": frame_id, "map_lane": lane, "marginal": marginal,
+                                 "sensor_ok": ok, "tentative": tentative, "wor": wor}))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def result_tables(draw):
+    n = draw(st.integers(1, 5))
+    T = draw(st.integers(0, 6))
+    value = finite | st.sampled_from([5e-324, -5e-324, -0.0, 0.0, 1e16, 2.0, 1e-7, 123456789.0])
+
+    def column(*shape):
+        return np.array(draw(st.lists(value, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape)))), dtype=float).reshape(shape)
+
+    return ResultTable(
+        frame_ids=np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=T, max_size=T)),
+                           dtype=int),
+        map_lane=np.array(draw(st.lists(st.integers(1, n), min_size=T, max_size=T)), dtype=int),
+        lane_marginal=column(T, n),
+        sensor_ok_prob=column(T),
+        tentative=column(T, n),
+        wor_frac=column(T),
+    )
+
+
+EDGE_VALUES = ResultTable(
+    frame_ids=np.array([0, 10**15]),
+    map_lane=np.array([1, 3]),
+    lane_marginal=np.array([[5e-324, 1.0, -0.0], [0.25, 0.5, 0.25]]),
+    sensor_ok_prob=np.array([-0.0, 1.0]),
+    tentative=np.array([[1e16, 2.0, 0.0], [3.0, 1e-300, 7.5]]),
+    wor_frac=np.array([1.0, 0.1 + 0.2]),
+)
+
+
+@example(EDGE_VALUES)
+@given(result_tables())
+@settings(max_examples=200)
+def test_results_writer_matches_json_dumps(tmp_path_factory, results):
+    header = SequenceHeader(n_lanes=results.lane_marginal.shape[1], source="writer")
+    path = tmp_path_factory.getbasetemp() / "r.res"
+    write_results(path, header, results)
+    assert path.read_text(encoding="utf-8") == json_dumps_results(header, results)
 
 
 def test_results_round_trip_exact(tmp_path):
@@ -189,7 +347,7 @@ def test_results_round_trip_exact(tmp_path):
             )
         )
     path = tmp_path / "rt.res"
-    write_results(path, header, records)
+    write_results(path, header, result_table(records, 4))
     header2, records2 = read_results(path)
     assert header2 == header
     assert records2 == records  # exact field equality, floats included
@@ -252,7 +410,7 @@ def test_results_ids_strictly_increase(tmp_path, next_id):
 def test_write_unwritable_path(tmp_path):
     header = SequenceHeader(n_lanes=2)
     with pytest.raises(SequenceFormatError, match="cannot write"):
-        write_results(tmp_path / "no" / "such" / "dir.res", header, [])
+        write_results(tmp_path / "no" / "such" / "dir.res", header, result_table([], 2))
 
 
 def test_results_reject_unnormalized_marginal():
@@ -269,7 +427,7 @@ def test_results_reject_unnormalized_marginal():
 
 def test_reading_results_as_sequence_fails(tmp_path):
     path = tmp_path / "r.res"
-    write_results(path, SequenceHeader(n_lanes=2), [])
+    write_results(path, SequenceHeader(n_lanes=2), result_table([], 2))
     with pytest.raises(SequenceFormatError, match="expected a sequence"):
         read_sequence(path)
 

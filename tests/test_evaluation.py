@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lanehmm.dataset_io import FrameRecord, LineEntry, SequenceHeader
+from lanehmm.dataset_io import FrameRecord, LineEntry, SequenceHeader, SequenceTable
 from lanehmm.errors import LaneHmmError
 from lanehmm.evaluation import (
     compare,
@@ -25,9 +25,23 @@ def logged_line(offset, continuous=False, valid=True, lri=10):
                      detected=True, lri=lri, is_valid=valid)
 
 
+def pairs(estimates):
+    """An estimate stream as (frame_id, lane or None) pairs."""
+    frame_ids, lanes = estimates
+    return [(i, lane or None) for i, lane in zip(frame_ids.tolist(), lanes.tolist())]
+
+
+def score(estimates, truth, n_lanes):
+    """evaluate() on (frame_id, lane or None) pairs and truth frames."""
+    frame_ids = np.array([i for i, _ in estimates], dtype=int)
+    lanes = np.array([lane or 0 for _, lane in estimates], dtype=int)
+    return evaluate((frame_ids, lanes), SequenceTable.from_frames(truth), n_lanes)
+
+
 def baseline(frames, params, cfg, lri_source="recompute"):
     header = SequenceHeader(n_lanes=params.n, lri_source=lri_source)
-    return detector_baseline(build_evidence(header, frames, cfg), params.bv)
+    evidence = build_evidence(header, SequenceTable.from_frames(frames), cfg)
+    return pairs(detector_baseline(evidence, params.bv))
 
 
 # --- detector baseline --------------------------------------------------------
@@ -65,7 +79,7 @@ def test_baseline_matches_per_frame_argmax(cfg):
 
     header, frames, _ = simulate(SimConfig(n_lanes=4, duration_frames=600, seed=54,
                                            offset_noise_sd_m=0.4, fail_prob=0.1))
-    evidence = build_evidence(header, frames, cfg)
+    evidence = build_evidence(header, SequenceTable.from_frames(frames), cfg)
     for bv in (0.0, 1.0, 7.0):
         expected = []
         for t in range(len(evidence)):
@@ -73,7 +87,7 @@ def test_baseline_matches_per_frame_argmax(cfg):
             best = tv.max()
             tied = best == 0.0 or np.count_nonzero(tv == best) > 1
             expected.append((frames[t].frame_id, None if tied else int(np.argmax(tv)) + 1))
-        assert detector_baseline(evidence, bv) == expected
+        assert pairs(detector_baseline(evidence, bv)) == expected
         assert any(lane is None for _, lane in expected)
         assert any(lane is not None for _, lane in expected)
 
@@ -83,7 +97,7 @@ def test_baseline_matches_per_frame_argmax(cfg):
 def test_perfect_estimates_diagonal():
     truth = [frame(i, gt=1 + i % 3) for i in range(30)]
     estimates = [(f.frame_id, f.gt_lane) for f in truth]
-    result = evaluate(estimates, truth, 3)
+    result = score(estimates, truth, 3)
     assert result.accuracy == 1.0
     assert result.evaluated == 30
     assert np.array_equal(np.diag(result.confusion[:3]), [10, 10, 10])
@@ -93,7 +107,7 @@ def test_perfect_estimates_diagonal():
 def test_all_no_assignment():
     truth = [frame(i, gt=2) for i in range(10)]
     estimates = [(i, None) for i in range(10)]
-    result = evaluate(estimates, truth, 3)
+    result = score(estimates, truth, 3)
     assert result.accuracy == 0.0
     assert result.no_assignment_count == 10
     assert result.confusion[3, 1] == 10
@@ -110,7 +124,7 @@ def test_hand_built_ten_frame_fixture():
             estimates.append((i, None))    # no assignment
         else:
             estimates.append((i, 2))       # correct (crossing ones ignored)
-    result = evaluate(estimates, truth, 3)
+    result = score(estimates, truth, 3)
     assert result.evaluated == 8
     assert result.accuracy == pytest.approx(0.75)
     assert result.skipped_crossing == 2
@@ -127,7 +141,7 @@ def test_frame_accounting_invariant():
         truth.append(frame(i, gt=gt, crossing=bool(rng.random() < 0.2)))
         lane = int(rng.integers(1, 4)) if rng.random() < 0.9 else None
         estimates.append((i, lane))
-    result = evaluate(estimates, truth, 3)
+    result = score(estimates, truth, 3)
     assert result.evaluated + result.skipped_crossing + result.skipped_no_gt == 300
 
 
@@ -137,7 +151,7 @@ def test_category_histogram_cross_check():
     estimates = [
         (i, int(rng.integers(1, 5)) if rng.random() < 0.9 else None) for i in range(500)
     ]
-    result = evaluate(estimates, truth, 4)
+    result = score(estimates, truth, 4)
     # Independent recount straight from the streams.
     direct = np.zeros(4, dtype=int)
     none_count = 0
@@ -157,12 +171,12 @@ def test_order_insensitive():
     rng = np.random.default_rng(53)
     truth = [frame(i, gt=1 + i % 2) for i in range(50)]
     estimates = [(i, 1 + (i + 1) % 2) for i in range(50)]
-    base = evaluate(estimates, truth, 2)
+    base = score(estimates, truth, 2)
     shuffled_truth = list(truth)
     shuffled_est = list(estimates)
     rng.shuffle(shuffled_truth)
     rng.shuffle(shuffled_est)
-    again = evaluate(shuffled_est, shuffled_truth, 2)
+    again = score(shuffled_est, shuffled_truth, 2)
     assert np.array_equal(base.confusion, again.confusion)
     assert base.accuracy == again.accuracy
 
@@ -170,9 +184,18 @@ def test_order_insensitive():
 def test_misaligned_streams_error():
     truth = [frame(0, gt=1), frame(1, gt=1)]
     with pytest.raises(LaneHmmError, match="no estimate"):
-        evaluate([(0, 1)], truth, 2)
+        score([(0, 1)], truth, 2)
     with pytest.raises(LaneHmmError, match="duplicate"):
-        evaluate([(0, 1), (0, 2)], truth, 2)
+        score([(0, 1), (0, 2)], truth, 2)
+
+
+def test_alignment_names_the_first_gap_and_the_first_repeat():
+    truth = [frame(i, gt=1) for i in range(4)]
+    with pytest.raises(LaneHmmError, match="no estimate for annotated frame 1$"):
+        score([(0, 1), (2, 1), (3, 1)], truth, 2)
+    # The stream repeats frame 5 before frame 3.
+    with pytest.raises(LaneHmmError, match="duplicate estimate for frame 5$"):
+        score([(5, 1), (5, 2), (3, 1), (3, 2)], truth, 2)
 
 
 # --- compare ---------------------------------------------------------------------
@@ -180,7 +203,7 @@ def test_misaligned_streams_error():
 def test_compare_identical_zero_deltas():
     truth = [frame(i, gt=1) for i in range(20)]
     estimates = [(i, 1) for i in range(20)]
-    result = evaluate(estimates, truth, 2)
+    result = score(estimates, truth, 2)
     report = compare(result, result)
     assert report.accuracy_delta == 0.0
     assert report.to_dict()["category_deltas"] == [0, 0]
@@ -188,16 +211,16 @@ def test_compare_identical_zero_deltas():
 
 def test_compare_accuracy_delta():
     truth = [frame(i, gt=1) for i in range(10)]
-    model = evaluate([(i, 1 if i < 9 else 2) for i in range(10)], truth, 2)
-    baseline = evaluate([(i, 1 if i < 6 else None) for i in range(10)], truth, 2)
+    model = score([(i, 1 if i < 9 else 2) for i in range(10)], truth, 2)
+    baseline = score([(i, 1 if i < 6 else None) for i in range(10)], truth, 2)
     report = compare(model, baseline)
     assert report.accuracy_delta == pytest.approx(0.3)
 
 
 def test_compare_report_round_trips_machine_readable():
     truth = [frame(i, gt=1 + i % 3) for i in range(30)]
-    model = evaluate([(i, 1 + i % 3) for i in range(30)], truth, 3)
-    baseline = evaluate([(i, None) for i in range(30)], truth, 3)
+    model = score([(i, 1 + i % 3) for i in range(30)], truth, 3)
+    baseline = score([(i, None) for i in range(30)], truth, 3)
     report = compare(model, baseline)
     as_dict = report.to_dict()
     assert json.loads(json.dumps(as_dict, sort_keys=True)) == as_dict
@@ -208,14 +231,15 @@ def test_compare_report_round_trips_machine_readable():
 def test_compare_rejects_mismatched_coverage():
     truth_a = [frame(i, gt=1) for i in range(10)]
     truth_b = [frame(i, gt=1) for i in range(8)]
-    a = evaluate([(i, 1) for i in range(10)], truth_a, 2)
-    b = evaluate([(i, 1) for i in range(8)], truth_b, 2)
+    a = score([(i, 1) for i in range(10)], truth_a, 2)
+    b = score([(i, 1) for i in range(8)], truth_b, 2)
     with pytest.raises(LaneHmmError):
         compare(a, b)
 
 
 def test_timeline_rows():
-    truth = [frame(0, gt=2), frame(1, gt=2, crossing=True)]
-    rows = make_timeline(truth, [(0, 2), (1, 3)], [(0, None), (1, 2)])
-    assert rows[0].model == 2 and rows[0].baseline is None and not rows[0].crossing
-    assert rows[1].crossing and rows[1].model == 3
+    truth = SequenceTable.from_frames([frame(0, gt=2), frame(1, gt=2, crossing=True)])
+    rows = make_timeline(truth, (np.array([0, 1]), np.array([2, 3])),
+                         (np.array([0, 1]), np.array([0, 2])))
+    assert rows["model"][0] == 2 and rows["baseline"][0] == 0 and not rows["crossing"][0]
+    assert rows["crossing"][1] and rows["model"][1] == 3

@@ -1,10 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lanehmm import pipeline
-from lanehmm.dataset_io import FrameRecord, LineEntry, SequenceHeader, read_sequence
+from lanehmm.dataset_io import (
+    FrameRecord,
+    LineEntry,
+    SequenceHeader,
+    SequenceTable,
+    read_table,
+)
 from lanehmm.errors import ConfigError, SequenceFormatError
 from lanehmm.filtering import LaneFilter
 from lanehmm.inverse_sensor import (
@@ -49,6 +57,17 @@ def reference_evidence(header, frames, cfg):
         base[t], bonus[t] = tentative_parts(tracked, n, cfg)
         wor_frac[t] = compute_wor(tracked, n, cfg)
     return base, bonus, wor_frac
+
+
+def table(frames):
+    return SequenceTable.from_frames(frames)
+
+
+def assert_same_results(first, second):
+    for name in ("frame_ids", "map_lane", "lane_marginal", "sensor_ok_prob", "tentative",
+                 "wor_frac"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_frames(lines_per_frame):
@@ -122,7 +141,7 @@ DIP = make_frames(
 @settings(max_examples=300)
 def test_evidence_matches_per_frame_inverse_sensor(sequence):
     header, frames, cfg = sequence
-    evidence = build_evidence(header, frames, cfg)
+    evidence = build_evidence(header, table(frames), cfg)
     base, bonus, wor_frac = reference_evidence(header, frames, cfg)
     assert np.array_equal(evidence.base, base)
     assert np.array_equal(evidence.bonus, bonus)
@@ -132,7 +151,7 @@ def test_evidence_matches_per_frame_inverse_sensor(sequence):
 
 def test_evidence_matches_per_frame_on_simulation(cfg, params3):
     header, frames, _ = small_sim()
-    evidence = build_evidence(header, frames, cfg)
+    evidence = build_evidence(header, table(frames), cfg)
     full = tentative_matrix(evidence, params3.bv)
     assert full.shape == (len(frames), 3)
     tracker = LriTracker(cfg)
@@ -148,25 +167,40 @@ def test_evidence_rejects_track_reported_twice_in_frame(cfg):
                            ("b", 1.75, False, True, None, None),
                            ("a", 5.25, False, True, None, None)]])
     with pytest.raises(ValueError, match="track id 'a' reported twice in one frame"):
-        build_evidence(SequenceHeader(n_lanes=3), frames, cfg)
+        build_evidence(SequenceHeader(n_lanes=3), table(frames), cfg)
 
 
 def test_evidence_rejects_offset_out_of_sanity_bounds(cfg):
     frames = make_frames([[("a", 60.0, True, True, None, None)]])
     with pytest.raises(ValueError, match="out of sanity bounds: 60.0"):
-        build_evidence(SequenceHeader(n_lanes=3), frames, cfg)
+        build_evidence(SequenceHeader(n_lanes=3), table(frames), cfg)
 
 
 def test_logged_evidence_requires_lri_and_valid(cfg):
     frames = make_frames([[("a", -1.75, True, True, 10, True)],
                           [("b", 1.75, True, True, None, None)]])
     with pytest.raises(SequenceFormatError, match="line 'b' lacks precomputed lri/valid"):
-        build_evidence(SequenceHeader(n_lanes=3, lri_source="log"), frames, cfg)
+        build_evidence(SequenceHeader(n_lanes=3, lri_source="log"), table(frames), cfg)
+
+
+def test_logged_lri_above_window_reports_line(tmp_path, cfg):
+    line = {"track": "b0", "offset": -1.75, "cont": True, "det": True, "lri": 10, "valid": True}
+    path = tmp_path / "lri_above.seq"
+    path.write_text('{"format": 1, "n_lanes": 3, "lri_source": "log"}\n'
+                    + json.dumps({"id": 0, "t": 0.0, "lines": [line]}) + "\n"
+                    + json.dumps({"id": 1, "t": 0.1, "lines": [dict(line, lri=11)]}) + "\n")
+    header, sequence = read_table(path)
+    message = "line 'b0' has lri 11 above the LRI window 10"
+    with pytest.raises(SequenceFormatError, match=f"^{path}:3: {message}$"):
+        build_evidence(header, sequence, cfg)
+    with pytest.raises(SequenceFormatError, match=f"^{message}$"):
+        build_evidence(header, table(sequence.frames()), cfg)
+    build_evidence(header, sequence, RuntimeConfig(lri_window=11))
 
 
 def test_wor_matrix_pairs_ok_with_bad(cfg):
     header, frames, _ = small_sim()
-    evidence = build_evidence(header, frames, cfg)
+    evidence = build_evidence(header, table(frames), cfg)
     wor = wor_matrix(evidence)
     assert wor.shape == (len(frames), 2)
     assert np.array_equal(wor[:, 0], evidence.wor_frac)
@@ -176,23 +210,24 @@ def test_wor_matrix_pairs_ok_with_bad(cfg):
 def test_run_sequence_rejects_lane_mismatch(params3):
     header, frames, _ = small_sim(n=4)
     with pytest.raises(ConfigError, match="conflicts"):
-        run_sequence(build_evidence(header, frames), params3)
+        run_sequence(build_evidence(header, table(frames)), params3)
 
 
 def test_run_sequence_results_are_consistent(params3, cfg):
     header, frames, _ = small_sim()
-    evidence = build_evidence(header, frames, cfg)
+    evidence = build_evidence(header, table(frames), cfg)
     results = run_sequence(evidence, params3)
     assert len(results) == len(frames)
-    assert [r.frame_id for r in results] == [f.frame_id for f in frames]
-    for t, record in enumerate(results):
-        assert abs(sum(record.lane_marginal) - 1.0) < 1e-9
-        assert record.map_lane == int(np.argmax(record.lane_marginal)) + 1
-        assert 0.0 <= record.sensor_ok_prob <= 1.0
-        assert 0.0 <= record.wor_frac <= 1.0
-        # The record carries the evidence rows the filter consumed.
-        assert record.tentative == tuple(tentative_matrix(evidence, params3.bv)[t])
-        assert record.wor_frac == evidence.wor_frac[t]
+    assert results.frame_ids.tolist() == [f.frame_id for f in frames]
+    for t in range(len(results)):
+        marginal = results.lane_marginal[t]
+        assert abs(sum(marginal) - 1.0) < 1e-9
+        assert results.map_lane[t] == int(np.argmax(marginal)) + 1
+        assert 0.0 <= results.sensor_ok_prob[t] <= 1.0
+        assert 0.0 <= results.wor_frac[t] <= 1.0
+        # The row carries the evidence the filter consumed.
+        assert tuple(results.tentative[t]) == tuple(tentative_matrix(evidence, params3.bv)[t])
+        assert results.wor_frac[t] == evidence.wor_frac[t]
 
 
 @st.composite
@@ -221,43 +256,43 @@ def test_run_sequence_is_bitwise_a_lane_filter_stream(run):
     block, params, evidence = run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_BLOCK_CANDIDATE_LANES", block * params.n)
-        records = run_sequence(evidence, params)
-    assert len(records) == len(evidence)
+        results = run_sequence(evidence, params)
+    assert len(results) == len(evidence)
     lane_filter = LaneFilter(params)
     tentative_rows = tentative_matrix(evidence, params.bv)
     wor = wor_matrix(evidence)
-    for t, record in enumerate(records):
+    for t in range(len(results)):
         estimate = lane_filter.step(normalize_tentative(tentative_rows[t], params.n), wor[t])
-        assert record.map_lane == estimate.map_lane
-        assert np.array(record.lane_marginal).tobytes() == estimate.lane_marginal.tobytes()
-        assert (np.float64(record.sensor_ok_prob).tobytes()
+        assert results.map_lane[t] == estimate.map_lane
+        assert results.lane_marginal[t].tobytes() == estimate.lane_marginal.tobytes()
+        assert (np.float64(results.sensor_ok_prob[t]).tobytes()
                 == np.float64(estimate.sensor_ok_prob).tobytes())
 
 
 def test_run_sequence_deterministic(params3, cfg):
     header, frames, _ = small_sim()
-    first = run_sequence(build_evidence(header, frames, cfg), params3)
-    second = run_sequence(build_evidence(header, frames, cfg), params3)
-    assert first == second
+    first = run_sequence(build_evidence(header, table(frames), cfg), params3)
+    second = run_sequence(build_evidence(header, table(frames), cfg), params3)
+    assert_same_results(first, second)
 
 
 def test_precomputed_lri_log_path(params3):
-    header, frame_iter = read_sequence(FIXTURES / "logged_lri.seq")
-    frames = list(frame_iter)
-    results = run_sequence(build_evidence(header, frames), params3)
-    (record,) = results
+    header, sequence = read_table(FIXTURES / "logged_lri.seq")
+    results = run_sequence(build_evidence(header, sequence), params3)
+    assert len(results) == 1
     # Valid lines at -9.15 (continuous) and -2.15: both vote for lane 3;
     # the bonus lands there too.
-    assert record.map_lane == 3
-    assert record.tentative[2] > record.tentative[0]
-    assert record.wor_frac == 0.65
+    assert results.map_lane[0] == 3
+    assert results.tentative[0, 2] > results.tentative[0, 0]
+    assert results.wor_frac[0] == 0.65
 
 
 def test_default_runtime_config_uses_header_width(params3):
     header, frames, _ = small_sim()
-    default = build_evidence(header, frames)
-    explicit = build_evidence(header, frames, RuntimeConfig(lane_width=header.lane_width_m))
-    assert run_sequence(default, params3) == run_sequence(explicit, params3)
+    default = build_evidence(header, table(frames))
+    explicit = build_evidence(header, table(frames),
+                              RuntimeConfig(lane_width=header.lane_width_m))
+    assert_same_results(run_sequence(default, params3), run_sequence(explicit, params3))
 
 
 def test_tuned_preset_on_seeded_sim_byte_identical(tmp_path):
@@ -268,7 +303,7 @@ def test_tuned_preset_on_seeded_sim_byte_identical(tmp_path):
     params = load_preset("italy-run01")
     paths = []
     for name in ("a.res", "b.res"):
-        results = run_sequence(build_evidence(header, frames), params)
+        results = run_sequence(build_evidence(header, table(frames)), params)
         path = tmp_path / name
         write_results(path, header, results)
         paths.append(path)

@@ -74,6 +74,7 @@ def test_objective_deterministic(params3):
 
 def test_objective_pools_sequences(params3):
     # Pooled accuracy weights each sequence by its evaluated frame count.
+    from lanehmm.dataset_io import SequenceTable
     from lanehmm.evaluation import evaluate
     from lanehmm.pipeline import build_evidence, run_sequence
 
@@ -81,8 +82,9 @@ def test_objective_pools_sequences(params3):
     seq_b = noisy_sim(frames=400, seed=63)
     correct = evaluated = 0
     for header, frames in (seq_a, seq_b):
-        results = run_sequence(build_evidence(header, frames), params3)
-        scored = evaluate([(r.frame_id, r.map_lane) for r in results], frames, 3)
+        table = SequenceTable.from_frames(frames)
+        results = run_sequence(build_evidence(header, table), params3)
+        scored = evaluate((results.frame_ids, results.map_lane), table, 3)
         correct += scored.correct
         evaluated += scored.evaluated
     assert objective(params3, [seq_a, seq_b]) == correct / evaluated
