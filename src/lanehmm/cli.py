@@ -71,15 +71,13 @@ def _load_cli_params(args) -> model_core.HmmParams:
     raise ConfigError("one of --preset or --params is required")
 
 
-def _add_params_args(sub, required: bool = True) -> None:
+def _add_params_args(sub) -> None:
     sub.add_argument("--preset", help="named parameter preset")
     sub.add_argument("--params", help="parameter file (key=value)")
-    if not required:
-        sub.set_defaults(preset=None, params=None)
 
 
 def _runtime_config(args, lane_width: float) -> RuntimeConfig:
-    width = args.lane_width if args.lane_width else lane_width
+    width = args.lane_width if args.lane_width is not None else lane_width
     return RuntimeConfig(lane_width=width)
 
 
@@ -112,7 +110,7 @@ def cmd_simulate(args) -> int:
 
 
 def _resolve_lanes(args, header, table: SequenceTable) -> tuple[int, str]:
-    if args.lanes:
+    if args.lanes is not None:
         return args.lanes, "flag"
     if args.map:
         extract = load_extract(args.map)
@@ -246,6 +244,8 @@ def _write_trials_log(path, trials) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    if (args.trace or args.lane_width is not None) and not (args.preset or args.params):
+        raise ConfigError("--trace and --lane-width need --preset or --params")
     results_header, records = read_results(args.results)
     truth_header, truth = read_table(args.truth)
     if results_header.n_lanes != truth_header.n_lanes:
@@ -422,8 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", type=int, default=0, help="coordinate-descent cycles")
-    p.add_argument("--holdout", help="score best params on this sequence instead of splitting")
-    p.add_argument("--no-split", action="store_true", help="train on the full sequences")
+    heldout = p.add_mutually_exclusive_group()
+    heldout.add_argument("--holdout",
+                         help="score best params on this sequence instead of splitting")
+    heldout.add_argument("--no-split", action="store_true", help="train on the full sequences")
     p.add_argument("--out", help="write best params here")
     p.add_argument("--trials-log", help="write all trials (JSON lines)")
     p.set_defaults(func=cmd_tune)
@@ -431,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a results file against ground truth")
     p.add_argument("--results", required=True)
     p.add_argument("--truth", required=True)
-    _add_params_args(p, required=False)
+    _add_params_args(p)
     p.add_argument("--lane-width", type=float)
     p.add_argument("--trace", help="per-frame timeline table (TSV)")
     p.set_defaults(func=cmd_evaluate)

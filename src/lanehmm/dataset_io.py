@@ -140,6 +140,39 @@ class SequenceTable:
         line = int(self.source_line[frame])
         return SequenceFormatError(message, path=self.path, line=line or None)
 
+    def check(self, header: SequenceHeader) -> None:
+        """Raise the table's first content fault through `error`.
+
+        The rules: an annotated `gt` lies in [1, n_lanes], every |offset| <
+        MAX_LINE_OFFSET_M, under lri_source=log every line carries `lri` and
+        `valid`, no track appears twice in one frame, and frame ids strictly
+        increase.  The first faulty frame wins, and in it the first rule.
+        """
+        n, ids, lines = header.n_lanes, self.frame_ids, self.line_frame
+        frames = np.arange(len(ids))
+        keys = lines * len(self.track_ids) + self.track
+        order = np.argsort(keys, kind="stable")
+        twice = np.zeros(len(keys), dtype=bool)
+        twice[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        rules = (  # (faulty rows, each row's frame, the message of row i)
+            ((self.gt != -1) & ((self.gt < 1) | (self.gt > n)), frames,
+             lambda i: f"gt_lane {self.gt[i]} outside [1, {n}]"),
+            (~(np.abs(self.offset) < MAX_LINE_OFFSET_M), lines,
+             lambda i: f"line offset out of sanity bounds: {float(self.offset[i])}"),
+            (((self.lri < 0) | (self.valid < 0)) & (header.lri_source == "log"), lines,
+             lambda i: f"line {self.track_ids[self.track[i]]!r} lacks precomputed "
+                       "lri/valid fields"),
+            (twice, lines, lambda i: f"track id {self.track_ids[self.track[i]]!r} "
+                                     "reported twice in one frame"),
+            (np.diff(ids) <= 0, frames[1:],
+             lambda i: f"frame ids not strictly increasing ({ids[i + 1]} after {ids[i]})"),
+        )
+        faults = [(frame_of[i], message(i))
+                  for bad, frame_of, message in rules for i in np.flatnonzero(bad)[:1]]
+        if faults:
+            frame, message = min(faults, key=lambda fault: fault[0])
+            raise self.error(message, frame)
+
     @classmethod
     def from_frames(cls, frames: Iterable[FrameRecord]) -> "SequenceTable":
         """The table of frame records, such as the simulator's; it has no `path`."""
@@ -301,15 +334,19 @@ def _read_header(lines: Iterator[tuple[int, str]], path: Path, content: str) -> 
 
 def _read_frames(lines: Iterator[tuple[int, str]], header: SequenceHeader,
                  path: Path) -> SequenceTable:
-    """The frame lines of a sequence file, parsed and checked into a table.
+    """The frame lines of a sequence file, parsed and type-checked into a table.
 
     One pass, one `json.loads` per line: each field gets an inline type
     test, and `_strict` or `_required` runs only for a field that fails
-    it, to convert an integral number to a float or raise its error.
+    it, to convert an integral number to a float or raise its error.  The
+    content rules are `SequenceTable.check`'s, which the callers run once
+    the parse lists are freed.
     """
-    require_lri = header.lri_source == "log"
-    n_lanes = header.n_lanes
     isfinite = math.isfinite
+
+    def fault(message: str) -> SequenceFormatError:  # at the line being read
+        return SequenceFormatError(message, path=path, line=lineno)
+
     codes: dict[str, int] = {}
     frame_ids, ts, gts, crossings, gnss, source_lines = [], [], [], [], [], []
     line_frame, tracks, offsets, conts, dets, lris, valids = [], [], [], [], [], [], []
@@ -330,31 +367,21 @@ def _read_frames(lines: Iterator[tuple[int, str]], header: SequenceHeader,
         elif type(fix) is list and len(fix) == 2:
             gnss += (_strict(x, float, "gnss", path, lineno) for x in fix)
         else:
-            raise SequenceFormatError("gnss must be [lat, lon]", path=path, line=lineno)
+            raise fault("gnss must be [lat, lon]")
         gt = obj.get("gt")
         if gt is None:
             gt = -1
-        else:
-            if type(gt) is not int:
-                _strict(gt, int, "gt", path, lineno)
-            if not 1 <= gt <= n_lanes:
-                raise SequenceFormatError(
-                    f"gt_lane {gt} outside [1, {n_lanes}]", path=path, line=lineno
-                )
+        elif type(gt) is not int:
+            _strict(gt, int, "gt", path, lineno)
+        elif gt < 0:  # would read as the column's "no annotation"
+            raise fault(f"gt_lane {gt} outside [1, {header.n_lanes}]")
         entries = obj.get("lines", [])
         if type(entries) is not list:
-            raise SequenceFormatError(
-                f"lines must be a JSON array of objects, got {entries!r}",
-                path=path, line=lineno,
-            )
+            raise fault(f"lines must be a JSON array of objects, got {entries!r}")
         frame = len(frame_ids)
-        first = len(tracks)
         for entry in entries:
             if type(entry) is not dict:
-                raise SequenceFormatError(
-                    f"lines must be a JSON array of objects, got an entry {entry!r}",
-                    path=path, line=lineno,
-                )
+                raise fault(f"lines must be a JSON array of objects, got an entry {entry!r}")
             track = entry.get("track")
             if type(track) is not str:
                 _required(entry, "track", str, "line entry", path, lineno)
@@ -373,19 +400,8 @@ def _read_frames(lines: Iterator[tuple[int, str]], header: SequenceHeader,
             valid = entry.get("valid", -1)
             if type(valid) is not bool and "valid" in entry:
                 _strict(valid, bool, "valid", path, lineno)
-            if not abs(offset) < MAX_LINE_OFFSET_M:
-                raise SequenceFormatError(
-                    f"line offset out of bounds: {offset}", path=path, line=lineno
-                )
             if lri < 0 and "lri" in entry:
-                raise SequenceFormatError(
-                    f"lri must be a JSON integer >= 0, got {lri}", path=path, line=lineno
-                )
-            if require_lri and (lri < 0 or valid == -1):
-                raise SequenceFormatError(
-                    "lri_source=log requires lri and valid on every line",
-                    path=path, line=lineno,
-                )
+                raise fault(f"lri must be a JSON integer >= 0, got {lri}")
             line_frame.append(frame)
             tracks.append(codes.setdefault(track, len(codes)))
             offsets.append(offset)
@@ -393,20 +409,6 @@ def _read_frames(lines: Iterator[tuple[int, str]], header: SequenceHeader,
             dets.append(det)
             lris.append(lri)
             valids.append(valid)
-        if len(set(tracks[first:])) < len(tracks) - first:
-            seen = set()
-            for entry in entries:
-                if entry["track"] in seen:
-                    raise SequenceFormatError(
-                        f"track id {entry['track']!r} reported twice in one frame",
-                        path=path, line=lineno,
-                    )
-                seen.add(entry["track"])
-        if frame_ids and frame_id <= frame_ids[-1]:
-            raise SequenceFormatError(
-                f"frame ids not strictly increasing ({frame_id} after {frame_ids[-1]})",
-                path=path, line=lineno,
-            )
         frame_ids.append(frame_id)
         ts.append(t)
         gts.append(gt)
@@ -440,7 +442,9 @@ def read_table(path: str | Path) -> tuple[SequenceHeader, SequenceTable]:
     path = Path(path)
     lines = _content_lines(path)
     header = _read_header(lines, path, "sequence")
-    return header, _read_frames(lines, header, path)
+    table = _read_frames(lines, header, path)
+    table.check(header)
+    return header, table
 
 
 def read_sequence(path: str | Path) -> tuple[SequenceHeader, Iterator[FrameRecord]]:
@@ -454,7 +458,9 @@ def read_sequence(path: str | Path) -> tuple[SequenceHeader, Iterator[FrameRecor
     header = _read_header(lines, path, "sequence")
 
     def frames() -> Iterator[FrameRecord]:
-        yield from _read_frames(lines, header, path).frames()
+        table = _read_frames(lines, header, path)
+        table.check(header)
+        yield from table.frames()
 
     return header, frames()
 
@@ -542,51 +548,57 @@ def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
     [1, n_lanes], `marginal` and `tentative` must have n_lanes entries and
     the marginal must sum to 1, ids must strictly increase and every float
     must be finite; any failure is a SequenceFormatError with the line
-    number.
+    number.  A line whose fields all pass an inline type test becomes a
+    record directly; only another calls `_strict` on each field.
     """
     path = Path(path)
     lines = _content_lines(path)
     header = _read_header(lines, path, "results")
+    n = header.n_lanes
+    isfinite = math.isfinite
+
+    def fault(message: str) -> SequenceFormatError:  # at the line being read
+        return SequenceFormatError(message, path=path, line=lineno)
+
     records = []
     for lineno, raw in lines:
         obj = _parse_json_line(raw, path, lineno)
-
-        def strict(value, kind, name):
-            return _strict(value, kind, name, path, lineno)
-
+        frame_id, map_lane = obj.get("id"), obj.get("map_lane")
+        marginal, tentative = obj.get("marginal"), obj.get("tentative")
+        sensor_ok, wor = obj.get("sensor_ok"), obj.get("wor")
+        # A NaN or infinite term makes the sum non-finite; so does an
+        # overflow of finite terms, which the slow path then accepts.
+        fast = (type(frame_id) is int and type(map_lane) is int
+                and type(marginal) is list and type(tentative) is list
+                and type(sensor_ok) is float and type(wor) is float
+                and set(map(type, marginal + tentative)) == {float}
+                and isfinite(sum(marginal) + sum(tentative) + sensor_ok + wor))
         try:
-            record = ResultRecord(
-                frame_id=strict(obj["id"], int, "id"),
-                map_lane=strict(obj["map_lane"], int, "map_lane"),
-                lane_marginal=tuple(strict(x, float, "marginal") for x in obj["marginal"]),
-                sensor_ok_prob=strict(obj["sensor_ok"], float, "sensor_ok"),
-                tentative=tuple(strict(x, float, "tentative") for x in obj["tentative"]),
-                wor_frac=strict(obj["wor"], float, "wor"),
-            )
+            if not fast:
+                frame_id = _strict(obj["id"], int, "id", path, lineno)
+                map_lane = _strict(obj["map_lane"], int, "map_lane", path, lineno)
+                marginal = [_strict(x, float, "marginal", path, lineno) for x in obj["marginal"]]
+                sensor_ok = _strict(obj["sensor_ok"], float, "sensor_ok", path, lineno)
+                tentative = [_strict(x, float, "tentative", path, lineno)
+                             for x in obj["tentative"]]
+                wor = _strict(obj["wor"], float, "wor", path, lineno)
+            record = ResultRecord(frame_id, map_lane, tuple(marginal), sensor_ok,
+                                  tuple(tentative), wor)
         except KeyError as exc:
-            raise SequenceFormatError(f"result lacks field {exc}", path=path, line=lineno) from None
+            raise fault(f"result lacks field {exc}") from None
         except TypeError as exc:
-            raise SequenceFormatError(f"bad result field: {exc}", path=path, line=lineno) from None
+            raise fault(f"bad result field: {exc}") from None
         except SequenceFormatError as exc:
             if exc.line is not None:  # a field check, already located
                 raise
-            raise SequenceFormatError(str(exc), path=path, line=lineno) from None
+            raise fault(str(exc)) from None
         for name, values in (("marginal", record.lane_marginal), ("tentative", record.tentative)):
-            if len(values) != header.n_lanes:
-                raise SequenceFormatError(
-                    f"{name} must have {header.n_lanes} entries, got {len(values)}",
-                    path=path, line=lineno,
-                )
-        if not 1 <= record.map_lane <= header.n_lanes:
-            raise SequenceFormatError(
-                f"map_lane {record.map_lane} outside [1, {header.n_lanes}]",
-                path=path, line=lineno,
-            )
+            if len(values) != n:
+                raise fault(f"{name} must have {n} entries, got {len(values)}")
+        if not 1 <= record.map_lane <= n:
+            raise fault(f"map_lane {record.map_lane} outside [1, {n}]")
         if records and record.frame_id <= records[-1].frame_id:
-            raise SequenceFormatError(
-                f"frame ids not strictly increasing ({record.frame_id} after "
-                f"{records[-1].frame_id})",
-                path=path, line=lineno,
-            )
+            raise fault(f"frame ids not strictly increasing ({record.frame_id} after "
+                        f"{records[-1].frame_id})")
         records.append(record)
     return header, records

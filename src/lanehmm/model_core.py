@@ -52,16 +52,16 @@ class HmmParams:
     bv: float
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
+        if not float(self.n).is_integer() or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n}")
-        if not self.sigma1 > 0:
-            raise ParameterError(f"sigma1 must be > 0, got {self.sigma1}")
-        if not self.sigma2 > 0:
-            raise ParameterError(f"sigma2 must be > 0, got {self.sigma2}")
+        if not 0 < self.sigma1 < math.inf:
+            raise ParameterError(f"sigma1 must be finite and > 0, got {self.sigma1}")
+        if not 0 < self.sigma2 < math.inf:
+            raise ParameterError(f"sigma2 must be finite and > 0, got {self.sigma2}")
         for name in ("p1", "p2", "p3", "p4"):
             _check_prob(name, getattr(self, name))
-        if self.bv < 0:
-            raise ParameterError(f"bv must be >= 0, got {self.bv}")
+        if not 0 <= self.bv < math.inf:
+            raise ParameterError(f"bv must be finite and >= 0, got {self.bv}")
 
     def replace(self, **changes) -> "HmmParams":
         return dataclasses.replace(self, **changes)
@@ -192,35 +192,41 @@ class CptSet:
 
 # --- parameter files and presets -------------------------------------------
 
-def parse_params_text(text: str, source: str = "<string>") -> HmmParams:
-    """Parse the plain key=value parameter format.
+def parse_key_values(text: str, source: str, converters: dict) -> dict:
+    """The `key=value` lines of a parameter file or simulator config.
 
-    Lines are `key=value`; blank lines and `#` comments are ignored.  All
-    eight parameters must be present exactly once.
+    Blank lines and `#` comments are ignored.  Each key must be one of
+    `converters` and appear at most once; its value is
+    `converters[key](value)`, and a ValueError there makes it a bad value.
+    Every fault is a ParameterError at `source:line`.
     """
-    values: dict[str, float] = {}
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line, where = raw.split("#", 1)[0].strip(), f"{source}:{lineno}"
         if not line:
             continue
         if "=" not in line:
-            raise ParameterError(f"{source}:{lineno}: expected key=value, got {raw!r}")
+            raise ParameterError(f"{where}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in PARAM_FIELDS:
-            raise ParameterError(f"{source}:{lineno}: unknown parameter {key!r}")
+        key, value = key.strip(), value.strip()
+        if key not in converters:
+            raise ParameterError(f"{where}: unknown key {key!r}")
         if key in values:
-            raise ParameterError(f"{source}:{lineno}: duplicate parameter {key!r}")
+            raise ParameterError(f"{where}: duplicate key {key!r}")
         try:
-            values[key] = float(value.strip())
+            values[key] = converters[key](value)
         except ValueError:
-            raise ParameterError(
-                f"{source}:{lineno}: {key} is not a number: {value.strip()!r}"
-            ) from None
+            raise ParameterError(f"{where}: bad value for {key}: {value!r}") from None
+    return values
+
+
+def parse_params_text(text: str, source: str = "<string>") -> HmmParams:
+    """Parse the plain key=value parameter format; all eight parameters
+    must be present, `n` an integer."""
+    values = parse_key_values(text, source, {key: float for key in PARAM_FIELDS} | {"n": int})
     missing = [k for k in PARAM_FIELDS if k not in values]
     if missing:
         raise ParameterError(f"{source}: missing parameters: {', '.join(missing)}")
-    values["n"] = int(values["n"])
     return HmmParams(**values)
 
 

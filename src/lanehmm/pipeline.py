@@ -21,7 +21,7 @@ import numpy as np
 from .dataset_io import ResultTable, SequenceHeader, SequenceTable
 from .errors import ConfigError
 from .filtering import forward, init_belief, lane_marginal, likelihood
-from .inverse_sensor import MAX_LINE_OFFSET_M, normalize_tentative
+from .inverse_sensor import normalize_tentative
 from .model_core import CptSet, HmmParams, RuntimeConfig
 
 
@@ -53,7 +53,8 @@ def _recomputed_lri(table: SequenceTable, cfg: RuntimeConfig):
     a line is valid iff its track's last full window comes after its last
     frame below the drop threshold.  Between two reports of a track the LRI
     only falls, so the latch needs the LRI at each report and in the frame
-    before it, and memory stays O(line entries).
+    before it, and memory stays O(line entries).  No track may appear
+    twice in one frame, which `SequenceTable.check` ensures.
     """
     window = cfg.lri_window
     # No window reaching back from a track's keys meets another track's.
@@ -62,12 +63,6 @@ def _recomputed_lri(table: SequenceTable, cfg: RuntimeConfig):
     keys += table.line_frame
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-    if len(repeats):
-        first = repeats[np.argmin(order[repeats])]
-        raise ValueError(
-            f"track id {table.track_ids[keys[first] // stride]!r} reported twice in one frame"
-        )
     det_keys = keys[table.det[order]]
     lri = np.searchsorted(det_keys, keys, "right")
     before = np.searchsorted(det_keys, keys, "left")  # LRI in the frame before
@@ -125,20 +120,17 @@ def build_evidence(
 
     Bit-identical to `LriTracker.update`, `tentative_parts` and
     `compute_wor` applied frame by frame.  `cfg` defaults to the standard
-    thresholds at the header's lane width.  A logged `lri` must lie in
-    [0, cfg.lri_window]; one above it is a SequenceFormatError at its line.
+    thresholds at the header's lane width.  The table must pass
+    `SequenceTable.check`, and a logged `lri` must not exceed
+    cfg.lri_window; either fault is a SequenceFormatError at its line.
     """
+    table.check(header)
     if cfg is None:
         cfg = RuntimeConfig(lane_width=header.lane_width_m)
     n = header.n_lanes
     T = len(table)
     frame_idx = table.line_frame
     if header.lri_source == "log":
-        missing = np.flatnonzero((table.lri < 0) | (table.valid < 0))
-        if len(missing):
-            i = missing[0]
-            raise table.error(f"line {table.track_ids[table.track[i]]!r} lacks "
-                              "precomputed lri/valid fields", frame_idx[i])
         above = np.flatnonzero(table.lri > cfg.lri_window)
         if len(above):
             i = above[0]
@@ -148,9 +140,6 @@ def build_evidence(
         lri = table.lri
         valid = table.valid == 1
     else:
-        bad = np.flatnonzero(~(np.abs(table.offset) < MAX_LINE_OFFSET_M))
-        if len(bad):
-            raise ValueError(f"line offset out of sanity bounds: {table.offset[bad[0]]}")
         lri, valid = _recomputed_lri(table, cfg)
 
     base, bonus = _tentative_counts(

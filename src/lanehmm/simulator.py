@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset_io import FrameRecord, LineEntry, SequenceHeader
 from .errors import ParameterError
+from .model_core import parse_key_values
 
 FAILURE_MODES = ("markov", "fixed")
 
@@ -43,10 +44,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_lanes < 1:
             raise ParameterError(f"n_lanes must be >= 1, got {self.n_lanes}")
-        if not self.lane_width_m > 0:
-            raise ParameterError("lane_width_m must be > 0")
-        if not self.fps > 0:
-            raise ParameterError("fps must be > 0")
+        if not 0 < self.lane_width_m < math.inf:
+            raise ParameterError("lane_width_m must be finite and > 0")
+        if not 0 < self.fps < math.inf:
+            raise ParameterError("fps must be finite and > 0")
+        if not math.isfinite(self.speed_mps):
+            raise ParameterError("speed_mps must be finite")
         if self.duration_frames < 1:
             raise ParameterError("duration_frames must be >= 1")
         if self.lane_change_duration < 1:
@@ -62,8 +65,10 @@ class SimConfig:
             raise ParameterError("detect_prob_ok must lie in (0, 1]")
         if not 0.0 <= self.detect_prob_bad < 1.0:
             raise ParameterError("detect_prob_bad must lie in [0, 1)")
-        if self.offset_noise_sd_m < 0:
-            raise ParameterError("offset_noise_sd_m must be >= 0")
+        if not 0 <= self.offset_noise_sd_m < math.inf:
+            raise ParameterError("offset_noise_sd_m must be finite and >= 0")
+        if self.gnss_origin is not None and not all(map(math.isfinite, self.gnss_origin)):
+            raise ParameterError("gnss_origin must be finite")
         if self.failure_mode not in FAILURE_MODES:
             raise ParameterError(f"failure_mode must be one of {FAILURE_MODES}")
         if self.fail_duration < 1:
@@ -73,40 +78,24 @@ class SimConfig:
         return dataclasses.replace(self, **changes)
 
 
+def _lat_lon(text: str) -> tuple[float, float]:
+    lat, lon = text.split(",")
+    return float(lat), float(lon)
+
+
+_SIM_CONVERTERS = {
+    "n_lanes": int, "lane_width_m": float, "fps": float,
+    "duration_frames": int, "lane_change_prob": float,
+    "lane_change_duration": int, "fail_prob": float, "recover_prob": float,
+    "detect_prob_ok": float, "detect_prob_bad": float,
+    "offset_noise_sd_m": float, "seed": int, "failure_mode": str,
+    "fail_duration": int, "speed_mps": float, "gnss_origin": _lat_lon,
+}
+
+
 def parse_sim_config(text: str, source: str = "<string>", **overrides) -> SimConfig:
     """Parse the key=value simulator config format; overrides win."""
-    converters = {
-        "n_lanes": int, "lane_width_m": float, "fps": float,
-        "duration_frames": int, "lane_change_prob": float,
-        "lane_change_duration": int, "fail_prob": float, "recover_prob": float,
-        "detect_prob_ok": float, "detect_prob_bad": float,
-        "offset_noise_sd_m": float, "seed": int, "failure_mode": str,
-        "fail_duration": int, "speed_mps": float,
-    }
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "gnss_origin":
-            try:
-                lat, lon = value.split(",")
-                values[key] = (float(lat), float(lon))
-            except ValueError:
-                raise ParameterError(
-                    f"{source}:{lineno}: gnss_origin must be lat,lon"
-                ) from None
-            continue
-        if key not in converters:
-            raise ParameterError(f"{source}:{lineno}: unknown simulator field {key!r}")
-        try:
-            values[key] = converters[key](value)
-        except ValueError:
-            raise ParameterError(f"{source}:{lineno}: bad value for {key}: {value!r}") from None
+    values = parse_key_values(text, source, _SIM_CONVERTERS)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return SimConfig(**values)
 

@@ -355,3 +355,67 @@ def test_selfcheck_detects_perturbed_golden(capsys, tmp_path, monkeypatch):
     outcome = last_json(stdout)
     assert outcome["ok"] is False
     assert "accuracy_delta" in outcome["divergence"]
+
+
+SPAIN06 = "n={n}\nsigma1=0.5\nsigma2=0.5\np1=0.9\np2=0.9\np3=0.9\np4=0.9\nbv={bv}\n"
+
+
+@pytest.mark.parametrize("n, bv", [("3.7", "5"), ("3", "inf"), ("3", "nan")])
+def test_run_rejects_non_integral_or_non_finite_params(capsys, sim3, tmp_path, n, bv):
+    params = tmp_path / "bad.params"
+    params.write_text(SPAIN06.format(n=n, bv=bv))
+    code, stdout, stderr = run_cli(capsys, "run", "--input", str(sim3), "--params", str(params))
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert "Traceback" not in stderr
+
+
+def test_simulate_rejects_infinite_fps(capsys, tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_text("fps=inf\n")
+    out = tmp_path / "s.seq"
+    code, _, stderr = run_cli(capsys, "simulate", "--sim-config", str(config), "--out", str(out))
+    assert code == cli.EXIT_CONFIG
+    assert "fps must be finite" in stderr
+    assert not out.exists()
+
+
+def test_run_rejects_zero_lane_width(capsys, sim3):
+    code, _, stderr = run_cli(capsys, "run", "--input", str(sim3), "--preset", "spain-run06",
+                              "--lane-width", "0")
+    assert code == cli.EXIT_CONFIG
+    assert "lane_width must be > 0" in stderr
+
+
+def test_evaluate_rejects_zero_lane_width(capsys, sim3, tmp_path):
+    results = _truncated_results(capsys, sim3, tmp_path, keep=400)
+    code, _, stderr = run_cli(capsys, "evaluate", "--results", str(results),
+                              "--truth", str(sim3), "--preset", "spain-run06",
+                              "--lane-width", "0")
+    assert code == cli.EXIT_CONFIG
+    assert "lane_width must be > 0" in stderr
+
+
+def test_run_rejects_zero_lanes(capsys, sim3):
+    code, stdout, stderr = run_cli(capsys, "run", "--input", str(sim3),
+                                   "--preset", "spain-run06", "--lanes", "0")
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert "resolved lane count 0 (from flag)" in stderr
+
+
+def test_evaluate_trace_needs_params(capsys, sim3, tmp_path):
+    results = _truncated_results(capsys, sim3, tmp_path, keep=400)
+    timeline = tmp_path / "t.tsv"
+    code, stdout, stderr = run_cli(capsys, "evaluate", "--results", str(results),
+                                   "--truth", str(sim3), "--trace", str(timeline))
+    assert code == cli.EXIT_CONFIG
+    assert stdout == "" and "--preset or --params" in stderr
+    assert not timeline.exists()
+
+
+def test_tune_holdout_excludes_no_split(capsys, sim3):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["tune", "--input", str(sim3), "--holdout", str(sim3), "--no-split"])
+    assert exit_.value.code == cli.EXIT_CONFIG
+    assert "not allowed with argument" in capsys.readouterr().err

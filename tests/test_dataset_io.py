@@ -82,6 +82,14 @@ def test_gt_out_of_range_reports_line():
         list(frames)
 
 
+def test_negative_gt_is_not_read_as_unannotated(tmp_path):
+    # -1 marks "no annotation" in the table's gt column
+    path = tmp_path / "negative_gt.seq"
+    path.write_text('{"format": 1, "n_lanes": 3}\n{"id": 0, "t": 0.0, "gt": -1}\n')
+    with pytest.raises(SequenceFormatError, match=r":2: gt_lane -1 outside \[1, 3\]$"):
+        read_table(path)
+
+
 def test_missing_header(tmp_path):
     path = tmp_path / "empty.seq"
     path.write_text("# only a comment\n")

@@ -221,6 +221,28 @@ def test_parse_params_text_errors():
         parse_params_text("n=3\nn=4\n")
 
 
+PARAMS_TEXT = "n={n}\nsigma1=0.5\nsigma2=0.5\np1=0.9\np2=0.9\np3=0.9\np4=0.9\nbv=1\n"
+
+
+@pytest.mark.parametrize("n", ["3.7", "3.0"])
+def test_parse_params_text_requires_integer_n(n):
+    with pytest.raises(ParameterError, match=f"^p:1: bad value for n: '{n}'$"):
+        parse_params_text(PARAMS_TEXT.format(n=n), source="p")
+
+
+@pytest.mark.parametrize("field", ["sigma1", "sigma2", "bv"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_params_require_finite_values(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        run01().replace(**{field: value})
+
+
+@pytest.mark.parametrize("n", [3.7, float("inf"), float("nan")])
+def test_params_require_integral_n(n):
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        run01().replace(n=n)
+
+
 def test_presets_ship_all_ten_runs():
     names = list_presets()
     assert names == [f"italy-run{i:02d}" for i in range(1, 6)] + [

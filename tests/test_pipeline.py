@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lanehmm.dataset_io import (
     SequenceHeader,
     SequenceTable,
     read_table,
+    write_sequence,
 )
 from lanehmm.errors import ConfigError, SequenceFormatError
 from lanehmm.filtering import LaneFilter
@@ -166,13 +169,13 @@ def test_evidence_rejects_track_reported_twice_in_frame(cfg):
                           [("a", -1.75, True, True, None, None),
                            ("b", 1.75, False, True, None, None),
                            ("a", 5.25, False, True, None, None)]])
-    with pytest.raises(ValueError, match="track id 'a' reported twice in one frame"):
+    with pytest.raises(SequenceFormatError, match="track id 'a' reported twice in one frame"):
         build_evidence(SequenceHeader(n_lanes=3), table(frames), cfg)
 
 
 def test_evidence_rejects_offset_out_of_sanity_bounds(cfg):
     frames = make_frames([[("a", 60.0, True, True, None, None)]])
-    with pytest.raises(ValueError, match="out of sanity bounds: 60.0"):
+    with pytest.raises(SequenceFormatError, match="out of sanity bounds: 60.0"):
         build_evidence(SequenceHeader(n_lanes=3), table(frames), cfg)
 
 
@@ -196,6 +199,62 @@ def test_logged_lri_above_window_reports_line(tmp_path, cfg):
     with pytest.raises(SequenceFormatError, match=f"^{message}$"):
         build_evidence(header, table(sequence.frames()), cfg)
     build_evidence(header, sequence, RuntimeConfig(lri_window=11))
+
+
+def _with_frame(**changes):
+    return lambda frame: dataclasses.replace(frame, **changes)
+
+
+def _with_line(**changes):
+    def broken(frame):
+        return dataclasses.replace(
+            frame, lines=(dataclasses.replace(frame.lines[0], **changes),) + frame.lines[1:])
+    return broken
+
+
+def _track_twice(frame):
+    return dataclasses.replace(frame, lines=frame.lines + (frame.lines[0],))
+
+
+# One content fault each, in the second frame: (fault, how to break a frame, message)
+RULES = [
+    ("ids", _with_frame(frame_id=0), "frame ids not strictly increasing (0 after 0)"),
+    ("gt-above", _with_frame(gt_lane=4), "gt_lane 4 outside [1, 3]"),
+    ("gt-zero", _with_frame(gt_lane=0), "gt_lane 0 outside [1, 3]"),
+    ("offset", _with_line(offset_m=60.0), "line offset out of sanity bounds: 60.0"),
+    ("offset-huge", _with_line(offset_m=1e9),
+     "line offset out of sanity bounds: 1000000000.0"),
+    ("offset-negative", _with_line(offset_m=-50.0), "line offset out of sanity bounds: -50.0"),
+    ("track-twice", _track_twice, "track id 'b0' reported twice in one frame"),
+]
+LOG_RULES = [
+    ("lri-missing", _with_line(lri=None), "line 'b0' lacks precomputed lri/valid fields"),
+    ("valid-missing", _with_line(is_valid=None), "line 'b0' lacks precomputed lri/valid fields"),
+]
+
+
+@pytest.mark.parametrize(
+    "lri_source, broken, message",
+    [pytest.param(source, broken, message, id=f"{source}-{fault}")
+     for source in ("recompute", "log") for fault, broken, message in RULES]
+    + [pytest.param("log", broken, message, id=f"log-{fault}")
+       for fault, broken, message in LOG_RULES],
+)
+def test_file_and_frames_break_each_rule_alike(tmp_path, cfg, lri_source, broken, message):
+    """A sequence rule reads the same from a file and from frame records."""
+    lri, valid = (10, True) if lri_source == "log" else (None, None)
+    frames = [FrameRecord(t, 0.1 * t, (LineEntry("b0", -1.75, True, True, lri, valid),
+                                       LineEntry("b1", 1.75, False, True, lri, valid)),
+                          gt_lane=2)
+              for t in range(3)]
+    frames[1] = broken(frames[1])
+    header = SequenceHeader(n_lanes=3, lri_source=lri_source)
+    path = tmp_path / "fault.seq"
+    write_sequence(path, header, frames)
+    with pytest.raises(SequenceFormatError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+        read_table(path)
+    with pytest.raises(SequenceFormatError, match=f"^{re.escape(message)}$"):
+        build_evidence(header, table(frames), cfg)
 
 
 def test_wor_matrix_pairs_ok_with_bad(cfg):

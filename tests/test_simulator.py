@@ -230,3 +230,25 @@ def test_fixed_failure_mode_burst_length():
             run = 0
     assert runs
     assert all(r == 7 for r in runs)
+
+
+def test_parse_sim_config_rejects_repeated_key():
+    with pytest.raises(ParameterError, match=r"^cfg:3: duplicate key 'seed'$"):
+        parse_sim_config("seed=1\nn_lanes=3\nseed=2\n", source="cfg")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("lane_width_m", float("inf")), ("fps", float("inf")), ("fps", float("nan")),
+     ("speed_mps", float("nan")), ("offset_noise_sd_m", float("inf")),
+     ("gnss_origin", (45.5, float("inf")))],
+)
+def test_sim_config_requires_finite_values(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("line", ["fps=inf", "gnss_origin=nan,9.1"])
+def test_parse_sim_config_rejects_non_finite(line):
+    with pytest.raises(ParameterError, match="must be finite"):
+        parse_sim_config(line + "\n")
