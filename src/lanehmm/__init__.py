@@ -64,7 +64,7 @@ from .model_core import (
     load_preset,
 )
 from .pipeline import build_evidence, run_sequence
-from .simulator import SimConfig, SimTruth, inject_burst, simulate
+from .simulator import SimConfig, inject_burst, simulate
 from .tuner import SearchSpace, TunerResult, coordinate_refine, objective, random_search
 
 __version__ = "0.1.0"

@@ -93,17 +93,17 @@ def cmd_simulate(args) -> int:
         duration_frames=args.frames,
         seed=args.seed,
     )
-    header, frames, truth = simulator.simulate(config)
-    write_sequence(args.out, header, frames)
+    header, table, sensor_ok = simulator.simulate(config)
+    write_sequence(args.out, header, table)
     _emit(
         {
             "command": "simulate",
             "out": str(args.out),
-            "frames": len(frames),
+            "frames": len(table),
             "n_lanes": header.n_lanes,
             "seed": config.seed,
-            "crossing_frames": int(truth.crossing.sum()),
-            "bad_sensor_frames": int((~truth.sensor_ok).sum()),
+            "crossing_frames": int(table.crossing.sum()),
+            "bad_sensor_frames": int((~sensor_ok).sum()),
         }
     )
     return EXIT_OK
@@ -136,8 +136,7 @@ def cmd_run(args) -> int:
     else:
         text = Path(args.sim_config).read_text(encoding="utf-8")
         config = simulator.parse_sim_config(text, source=args.sim_config, seed=args.seed)
-        header, frames, _ = simulator.simulate(config)
-        table = SequenceTable.from_frames(frames)
+        header, table, _ = simulator.simulate(config)
         source = f"sim:{args.sim_config}"
 
     params = _load_cli_params(args)
@@ -312,8 +311,7 @@ def cmd_presets(args) -> int:
 
 def selfcheck_summary() -> dict:
     """Deterministic end-to-end metrics for the committed golden scenario."""
-    header, frames, _ = simulator.simulate(SELFCHECK_SIM)
-    table = SequenceTable.from_frames(frames)
+    header, table, _ = simulator.simulate(SELFCHECK_SIM)
     params = model_core.load_preset(SELFCHECK_PRESET)
     evidence = pipeline.build_evidence(header, table)
     results = pipeline.run_sequence(evidence, params)

@@ -5,10 +5,10 @@ non-comment line, then one JSON object per frame (or per result record).
 The format is documented in docs/format.md; the header carries
 `format=1`.  `#` lines are comments.
 
-`read_table` reads a sequence straight into numpy columns, a
-`SequenceTable`; `read_sequence` gives the same content as
-`FrameRecord`s.  `run_sequence` returns its estimates as a `ResultTable`
-of columns, which `write_results` formats.
+`read_table` reads a sequence into numpy columns, a `SequenceTable`, the
+simulator's output type too; iterating one yields `FrameRecord`s, as
+`read_sequence` does.  `run_sequence` returns a `ResultTable` of columns,
+which `write_results` formats.
 
 LRI and validity are normally recomputed from the per-frame `det` flags
 so the hysteresis logic is exercised; logs converted from recordings that
@@ -22,7 +22,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import islice, starmap
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -32,6 +32,7 @@ from .errors import SequenceFormatError
 from .inverse_sensor import MAX_LINE_OFFSET_M, RawLineObservation
 
 FORMAT_VERSION = 1
+INT64 = range(-2**63, 2**63)  # the JSON integers a numpy int column holds
 LRI_SOURCES = ("recompute", "log")
 
 
@@ -89,7 +90,7 @@ class FrameRecord:
 
 
 _FRAME_COLUMNS = ("frame_ids", "t", "gt", "crossing", "gnss", "source_line")
-_LINE_COLUMNS = ("line_frame", "track", "offset", "cont", "det", "lri", "valid")
+LINE_COLUMNS = ("line_frame", "track", "offset", "cont", "det", "lri", "valid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,10 +99,11 @@ class SequenceTable:
 
     Frame columns have one row per frame; line columns one row per line
     entry, `line_frame` giving its frame's row.  A track is a code into
-    `track_ids`, numbered in order of first appearance.  Absent optional
-    fields read -1 (`gt`, `lri`, `valid`) or NaN (`gnss`).
+    `track_ids`; the readers and the simulator number tracks in order of
+    first appearance.  Absent optional fields read -1 (`gt`, `lri`,
+    `valid`) or NaN (`gnss`).
     `source_line` is each frame's line in the file at `path`, 0 for a
-    table built from frames.
+    table built in memory.
     """
 
     frame_ids: np.ndarray    # (T,) int
@@ -131,7 +133,7 @@ class SequenceTable:
         stop = max(start, stop)
         lines = slice(*np.searchsorted(self.line_frame, [start, stop]))
         columns = {name: getattr(self, name)[start:stop] for name in _FRAME_COLUMNS}
-        columns.update({name: getattr(self, name)[lines] for name in _LINE_COLUMNS})
+        columns.update({name: getattr(self, name)[lines] for name in LINE_COLUMNS})
         columns["line_frame"] = columns["line_frame"] - start
         return dataclasses.replace(self, **columns)
 
@@ -164,7 +166,7 @@ class SequenceTable:
                        "lri/valid fields"),
             (twice, lines, lambda i: f"track id {self.track_ids[self.track[i]]!r} "
                                      "reported twice in one frame"),
-            (np.diff(ids) <= 0, frames[1:],
+            (ids[1:] <= ids[:-1], frames[1:],
              lambda i: f"frame ids not strictly increasing ({ids[i + 1]} after {ids[i]})"),
         )
         faults = [(frame_of[i], message(i))
@@ -175,7 +177,7 @@ class SequenceTable:
 
     @classmethod
     def from_frames(cls, frames: Iterable[FrameRecord]) -> "SequenceTable":
-        """The table of frame records, such as the simulator's; it has no `path`."""
+        """The table of frame records; it has no `path`."""
         frames = list(frames)
         entries = [entry for frame in frames for entry in frame.lines]
         T, L = len(frames), len(entries)
@@ -200,24 +202,18 @@ class SequenceTable:
             track_ids=tuple(codes),
         )
 
-    def frames(self) -> list[FrameRecord]:
-        """The table as frame records, the inverse of `from_frames`."""
-        entries = [
-            LineEntry(self.track_ids[track], offset, cont, det,
-                      None if lri < 0 else lri, None if valid < 0 else bool(valid))
-            for track, offset, cont, det, lri, valid in zip(
-                self.track.tolist(), self.offset.tolist(), self.cont.tolist(),
-                self.det.tolist(), self.lri.tolist(), self.valid.tolist())
-        ]
-        bounds = np.searchsorted(self.line_frame, np.arange(len(self) + 1)).tolist()
-        return [
-            FrameRecord(frame_id, t, tuple(entries[bounds[i]:bounds[i + 1]]),
-                        None if math.isnan(lat) else (lat, lon),
-                        None if gt < 0 else gt, crossing)
-            for i, (frame_id, t, (lat, lon), gt, crossing) in enumerate(zip(
-                self.frame_ids.tolist(), self.t.tolist(), self.gnss.tolist(),
-                self.gt.tolist(), self.crossing.tolist()))
-        ]
+    def __iter__(self) -> Iterator[FrameRecord]:
+        """The table as frame records, one frame at a time; `from_frames` inverts it."""
+        entries = zip(*(getattr(self, name).tolist() for name in LINE_COLUMNS[1:]))
+        counts = np.bincount(self.line_frame, minlength=len(self)).tolist()
+        for frame_id, t, gt, crossing, (lat, lon), count in zip(
+                *(getattr(self, name).tolist() for name in _FRAME_COLUMNS[:5]), counts):
+            lines = tuple(
+                LineEntry(self.track_ids[track], offset, cont, det,
+                          None if lri < 0 else lri, None if valid < 0 else bool(valid))
+                for track, offset, cont, det, lri, valid in islice(entries, count))
+            yield FrameRecord(frame_id, t, lines, None if math.isnan(lat) else (lat, lon),
+                              None if gt < 0 else gt, crossing)
 
 
 @dataclass(frozen=True)
@@ -332,6 +328,14 @@ def _read_header(lines: Iterator[tuple[int, str]], path: Path, content: str) -> 
     return _parse_header(_parse_json_line(raw, path, lineno), path, lineno, content)
 
 
+def _int64_fault(columns, path) -> SequenceFormatError:
+    """The error of the first value, by line, outside INT64 in (name, values, lines)."""
+    lineno, name, value = min((lineno, name, value) for name, values, lines in columns
+                              for value, lineno in zip(values, lines) if value not in INT64)
+    return SequenceFormatError(f"{name} must be a JSON integer in the signed 64-bit range, "
+                               f"got {value}", path=path, line=lineno)
+
+
 def _read_frames(lines: Iterator[tuple[int, str]], header: SequenceHeader,
                  path: Path) -> SequenceTable:
     """The frame lines of a sequence file, parsed and type-checked into a table.
@@ -414,23 +418,28 @@ def _read_frames(lines: Iterator[tuple[int, str]], header: SequenceHeader,
         gts.append(gt)
         crossings.append(crossing)
         source_lines.append(lineno)
-    return SequenceTable(
-        frame_ids=np.array(frame_ids, dtype=int),
-        t=np.array(ts, dtype=float),
-        gt=np.array(gts, dtype=int),
-        crossing=np.array(crossings, dtype=bool),
-        gnss=np.array(gnss, dtype=float).reshape(-1, 2),
-        source_line=np.array(source_lines, dtype=int),
-        line_frame=np.array(line_frame, dtype=int),
-        track=np.array(tracks, dtype=int),
-        offset=np.array(offsets, dtype=float),
-        cont=np.array(conts, dtype=bool),
-        det=np.array(dets, dtype=bool),
-        lri=np.array(lris, dtype=int),
-        valid=np.array(valids, dtype=np.int8),
-        track_ids=tuple(codes),
-        path=path,
-    )
+    try:
+        return SequenceTable(
+            frame_ids=np.array(frame_ids, dtype=int),
+            t=np.array(ts, dtype=float),
+            gt=np.array(gts, dtype=int),
+            crossing=np.array(crossings, dtype=bool),
+            gnss=np.array(gnss, dtype=float).reshape(-1, 2),
+            source_line=np.array(source_lines, dtype=int),
+            line_frame=np.array(line_frame, dtype=int),
+            track=np.array(tracks, dtype=int),
+            offset=np.array(offsets, dtype=float),
+            cont=np.array(conts, dtype=bool),
+            det=np.array(dets, dtype=bool),
+            lri=np.array(lris, dtype=int),
+            valid=np.array(valids, dtype=np.int8),
+            track_ids=tuple(codes),
+            path=path,
+        )
+    except OverflowError:
+        lri_lines = [source_lines[frame] for frame in line_frame]
+        raise _int64_fault((("id", frame_ids, source_lines), ("gt", gts, source_lines),
+                            ("lri", lris, lri_lines)), path) from None
 
 
 def read_table(path: str | Path) -> tuple[SequenceHeader, SequenceTable]:
@@ -460,7 +469,7 @@ def read_sequence(path: str | Path) -> tuple[SequenceHeader, Iterator[FrameRecor
     def frames() -> Iterator[FrameRecord]:
         table = _read_frames(lines, header, path)
         table.check(header)
-        yield from table.frames()
+        yield from table
 
     return header, frames()
 
@@ -601,4 +610,8 @@ def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
             raise fault(f"frame ids not strictly increasing ({record.frame_id} after "
                         f"{records[-1].frame_id})")
         records.append(record)
+    # Ids strictly increase, so all lie in INT64 if the first and last do.
+    if records and not (records[0].frame_id in INT64 and records[-1].frame_id in INT64):
+        lines = [lineno for lineno, _ in _content_lines(path)][1:]  # after the header
+        raise _int64_fault([("id", [r.frame_id for r in records], lines)], path)
     return header, records

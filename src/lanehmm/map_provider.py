@@ -30,6 +30,11 @@ class RoadSegment:
             raise MapExtractError(f"segment {self.id!r} needs at least 2 points")
         if self.lane_count < 1:
             raise MapExtractError(f"segment {self.id!r} has lane_count < 1")
+        if not all(math.isfinite(x) for point in self.polyline for x in point):
+            raise MapExtractError(f"segment {self.id!r} has a non-finite coordinate")
+        if self.lane_width_m is not None and not 0 < self.lane_width_m < math.inf:
+            raise MapExtractError(f"segment {self.id!r} lane width must be finite and > 0, "
+                                  f"got {self.lane_width_m}")
 
 
 @dataclass(frozen=True)

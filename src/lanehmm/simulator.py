@@ -1,10 +1,11 @@
 """Synthetic highway sequence generator.
 
-Produces detector logs with known ground truth: a vehicle that changes
-lanes by linear lateral interpolation, n+1 boundary lines observed with
-per-line dropouts and offset noise, and a detector health state that
-follows a two-state Markov chain (optionally a fixed-duration burst
-process, to test the filter against a mismatched failure model).
+Produces detector logs with known ground truth as a `SequenceTable`: a
+vehicle that changes lanes by linear lateral interpolation, n+1 boundary
+lines observed with per-line dropouts and offset noise, and a detector
+health state that follows a two-state Markov chain (optionally a
+fixed-duration burst process, to test the filter against a mismatched
+failure model).  The table's `gt` and `crossing` columns are the truth.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import FrameRecord, LineEntry, SequenceHeader
+from .dataset_io import LINE_COLUMNS, SequenceHeader, SequenceTable
 from .errors import ParameterError
 from .model_core import parse_key_values
 
@@ -100,19 +101,14 @@ def parse_sim_config(text: str, source: str = "<string>", **overrides) -> SimCon
     return SimConfig(**values)
 
 
-@dataclass(frozen=True)
-class SimTruth:
-    gt_lane: np.ndarray    # (T,) int
-    crossing: np.ndarray   # (T,) bool
-    sensor_ok: np.ndarray  # (T,) bool
+def simulate(config: SimConfig) -> tuple[SequenceHeader, SequenceTable, np.ndarray]:
+    """Generate one sequence and its per-frame sensor health (True for OK).
 
-
-def simulate(config: SimConfig) -> tuple[SequenceHeader, list[FrameRecord], SimTruth]:
-    """Generate one sequence; deterministic given config.seed.
-
-    All random draws are taken from pre-generated arrays in a fixed order,
-    so the output stream depends only on the seed (PCG64 keeps it
-    platform-independent for a given numpy build).
+    Deterministic given config.seed: all random draws are taken from
+    pre-generated arrays in a fixed order, so the output depends only on
+    the seed (PCG64 keeps it platform-independent for a given numpy
+    build).  The lane changes and the sensor chain run frame by frame; the
+    lines, timestamps and GNSS fixes of all frames are then drawn at once.
     """
     n = config.n_lanes
     W = config.lane_width_m
@@ -125,17 +121,14 @@ def simulate(config: SimConfig) -> tuple[SequenceHeader, list[FrameRecord], SimT
     z_noise = rng.standard_normal((T, n + 1))
 
     lane = 1 + n // 2
-    v = (lane - 0.5) * W  # lateral position, meters from the left road edge
-    change_from = change_to = 0
-    change_step = 0
+    change_from = change_to = change_step = 0
     changing = False
     ok = True
     bad_left = 0  # remaining BAD frames in "fixed" failure mode
 
-    gt_lane = np.empty(T, dtype=int)
+    position = np.empty(T)  # lateral position, meters from the left road edge
     crossing = np.zeros(T, dtype=bool)
     sensor_ok = np.empty(T, dtype=bool)
-    frames = []
     for t in range(T):
         if not changing and n > 1 and u_change[t] < config.lane_change_prob:
             changing = True
@@ -150,84 +143,73 @@ def simulate(config: SimConfig) -> tuple[SequenceHeader, list[FrameRecord], SimT
         if changing:
             change_step += 1
             frac = change_step / config.lane_change_duration
-            v = ((change_from - 0.5) + frac * (change_to - change_from)) * W
+            position[t] = ((change_from - 0.5) + frac * (change_to - change_from)) * W
             crossing[t] = True
             if change_step >= config.lane_change_duration:
                 changing = False
                 lane = change_to
         else:
-            v = (lane - 0.5) * W
+            position[t] = (lane - 0.5) * W
 
         if config.failure_mode == "markov":
-            if ok:
-                ok = u_fail[t] >= config.fail_prob
-            else:
-                ok = u_fail[t] < config.recover_prob
-        else:
-            if bad_left > 0:
-                bad_left -= 1
-                ok = bad_left == 0
-            elif ok and u_fail[t] < config.fail_prob:
-                ok = False
-                bad_left = config.fail_duration  # counts this frame
+            ok = u_fail[t] >= config.fail_prob if ok else u_fail[t] < config.recover_prob
+        elif bad_left > 0:
+            bad_left -= 1
+            ok = bad_left == 0
+        elif ok and u_fail[t] < config.fail_prob:
+            ok = False
+            bad_left = config.fail_duration  # counts this frame
         sensor_ok[t] = ok
 
-        gt_lane[t] = min(max(round(v / W + 0.5), 1), n)
+    # Boundary j of frame t is seen if u_detect[t, j] < its detection probability.
+    detect_p = np.where(sensor_ok, config.detect_prob_ok, config.detect_prob_bad)
+    line_frame, j = np.nonzero(u_detect < detect_p[:, None])
+    boundaries = j[np.sort(np.unique(j, return_index=True)[1])]  # first-appearance order
+    code = np.empty(n + 1, dtype=int)
+    code[boundaries] = np.arange(len(boundaries))
 
-        detect_p = config.detect_prob_ok if ok else config.detect_prob_bad
-        lines = []
-        for j in range(n + 1):
-            if u_detect[t, j] < detect_p:
-                offset = j * W - v + config.offset_noise_sd_m * z_noise[t, j]
-                lines.append(
-                    LineEntry(
-                        track_id=f"b{j}",
-                        offset_m=offset,
-                        continuous=j == 0 or j == n,
-                        detected=True,
-                    )
-                )
+    gnss = np.full((T, 2), math.nan)
+    if config.gnss_origin is not None:
+        lat0, lon0 = config.gnss_origin
+        east_m = np.arange(T) * config.speed_mps / config.fps
+        gnss[:, 0] = lat0
+        gnss[:, 1] = lon0 + np.degrees(east_m / (6371000.0 * math.cos(math.radians(lat0))))
 
-        gnss = None
-        if config.gnss_origin is not None:
-            lat0, lon0 = config.gnss_origin
-            east_m = t * config.speed_mps / config.fps
-            dlon = math.degrees(east_m / (6371000.0 * math.cos(math.radians(lat0))))
-            gnss = (lat0, lon0 + dlon)
-
-        frames.append(
-            FrameRecord(
-                frame_id=t,
-                timestamp_s=t / config.fps,
-                lines=tuple(lines),
-                gnss=gnss,
-                gt_lane=int(gt_lane[t]),
-                crossing=bool(crossing[t]),
-            )
-        )
-
-    header = SequenceHeader(
-        n_lanes=n,
-        lane_width_m=W,
-        fps=config.fps,
-        source=f"simulator seed={config.seed}",
+    table = SequenceTable(
+        frame_ids=np.arange(T),
+        t=np.arange(T) / config.fps,
+        gt=np.clip(np.round(position / W + 0.5), 1, n).astype(int),
+        crossing=crossing,
+        gnss=gnss,
+        source_line=np.zeros(T, dtype=int),
+        line_frame=line_frame,
+        track=code[j],
+        offset=(j * W - position[line_frame]) + config.offset_noise_sd_m * z_noise[line_frame, j],
+        cont=(j == 0) | (j == n),
+        det=np.ones_like(j, dtype=bool),
+        lri=np.full_like(j, -1),
+        valid=np.full_like(j, -1, dtype=np.int8),
+        track_ids=tuple(f"b{b}" for b in boundaries.tolist()),
     )
-    return header, frames, SimTruth(gt_lane=gt_lane, crossing=crossing, sensor_ok=sensor_ok)
+    header = SequenceHeader(n_lanes=n, lane_width_m=W, fps=config.fps,
+                            source=f"simulator seed={config.seed}")
+    return header, table, sensor_ok
 
 
 def inject_burst(
-    frames: list[FrameRecord],
+    table: SequenceTable,
     start: int,
     length: int,
     mode: str,
     header: SequenceHeader | None = None,
     seed: int = 0,
-) -> list[FrameRecord]:
-    """Force a failure window onto an existing sequence.
+) -> SequenceTable:
+    """Force a failure window onto a sequence table.
 
-    "dropout" empties the line list of every frame in [start, start+length);
-    "clutter" adds one spurious line per frame at an offset drawn uniformly
-    over the roadway span (requires the header for the geometry).
+    "dropout" drops the lines of every frame whose id lies in
+    [start, start+length); "clutter" appends one spurious line to each of
+    those frames, at an offset drawn uniformly over the roadway span
+    (requires the header for the geometry).
     """
     if mode not in ("dropout", "clutter"):
         raise ParameterError(f"unknown burst mode {mode!r}")
@@ -235,21 +217,22 @@ def inject_burst(
         raise ParameterError("burst length must be >= 0")
     if mode == "clutter" and header is None:
         raise ParameterError("clutter mode needs the sequence header for geometry")
-    rng = np.random.default_rng(seed)
-    out = []
-    for frame in frames:
-        if not start <= frame.frame_id < start + length:
-            out.append(frame)
-            continue
-        if mode == "dropout":
-            out.append(dataclasses.replace(frame, lines=()))
-        else:
-            span = header.n_lanes * header.lane_width_m
-            spurious = LineEntry(
-                track_id="clutter",
-                offset_m=float(rng.uniform(-span, span)),
-                continuous=False,
-                detected=True,
-            )
-            out.append(dataclasses.replace(frame, lines=frame.lines + (spurious,)))
-    return out
+    in_window = (start <= table.frame_ids) & (table.frame_ids < start + length)
+    lines = {name: getattr(table, name) for name in LINE_COLUMNS}
+    if mode == "dropout":
+        keep = ~in_window[table.line_frame]
+        return dataclasses.replace(table, **{name: lines[name][keep] for name in lines})
+    window = np.flatnonzero(in_window)
+    track_ids = table.track_ids + ("clutter",) * ("clutter" not in table.track_ids)
+    span = header.n_lanes * header.lane_width_m
+    added = {
+        "line_frame": window, "track": track_ids.index("clutter"),
+        "offset": np.random.default_rng(seed).uniform(-span, span, size=len(window)),
+        "cont": False, "det": True, "lri": -1, "valid": -1,
+    }
+    # A stable sort puts each spurious line after its frame's own lines.
+    order = np.argsort(np.concatenate([table.line_frame, window]), kind="stable")
+    return dataclasses.replace(table, track_ids=track_ids, **{
+        name: np.concatenate([column, np.full(len(window), added[name], column.dtype)])[order]
+        for name, column in lines.items()
+    })

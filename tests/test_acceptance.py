@@ -206,24 +206,24 @@ def test_criterion_6_missed_transition_recovery():
             detect_prob_ok=1.0, detect_prob_bad=0.1, offset_noise_sd_m=0.2,
             seed=seed,
         )
-        header, frames, truth = simulate(config)
-        crossing = np.flatnonzero(truth.crossing)
+        header, table, _ = simulate(config)
+        crossing = np.flatnonzero(table.crossing)
         if len(crossing) == 0:
             return None
         start = int(crossing[0])
         dropout_start = max(start - 1, 0)
         resume = dropout_start + 10
         probe_end = resume + 15
-        if probe_end >= len(frames):
+        if probe_end >= len(table):
             return None
         # The scenario is one change fully hidden by the dropout; a second
         # change inside the probe window would invalidate the target lane.
         later = crossing[(crossing >= start + 8) & (crossing <= probe_end)]
         if len(later):
             return None
-        new_lane = int(truth.gt_lane[start + 8])
-        blinded = inject_burst(frames, dropout_start, 10, "dropout")
-        results = run_sequence(build_evidence(header, SequenceTable.from_frames(blinded)), params)
+        new_lane = int(table.gt[start + 8])
+        blinded = inject_burst(table, dropout_start, 10, "dropout")
+        results = run_sequence(build_evidence(header, blinded), params)
         return bool((results.map_lane[resume:probe_end] == new_lane).any())
 
     successes = 0

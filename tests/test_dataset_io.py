@@ -172,6 +172,11 @@ def test_duplicate_track_id_in_frame_reports_line(tmp_path, lri_source):
         ("frame", "lines", [5]),
         ("line", "track", None),
         ("line", "track", 5),
+        ("frame", "id", 10**23),
+        ("frame", "id", 2**63),
+        ("frame", "id", -2**63 - 1),
+        ("frame", "gt", 10**23),
+        ("line", "lri", 10**23),
     ],
 )
 def test_reader_is_type_strict(tmp_path, where, field, value):
@@ -268,7 +273,7 @@ def test_read_table_equals_table_of_the_frames_written(tmp_path_factory, log):
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
     assert read.track_ids == built.track_ids
     assert read.source_line.tolist() == list(range(2, len(frames) + 2))
-    assert read.frames() == built.frames() == frames
+    assert list(read) == list(built) == frames
 
 
 def test_table_slices_are_tables_of_the_frame_slices():
@@ -276,7 +281,7 @@ def test_table_slices_are_tables_of_the_frame_slices():
     frames = [random_frame(rng, i) for i in range(40)]
     table = SequenceTable.from_frames(frames)
     for rows in (slice(None, 20), slice(20, None), slice(5, 5), slice(38, 100)):
-        assert table[rows].frames() == frames[rows]
+        assert list(table[rows]) == frames[rows]
     with pytest.raises(ValueError, match="contiguous"):
         table[::2]
 
@@ -385,6 +390,8 @@ FINITE = "must be a JSON finite number"
         pytest.param("wor", None, FINITE, id="wor-null"),
         pytest.param("marginal", [1.0], "must have 3 entries, got 1", id="marginal-short"),
         pytest.param("tentative", [0.0], "must have 3 entries, got 1", id="tentative-short"),
+        pytest.param("id", 10**23, INTEGER, id="id-above-int64"),
+        pytest.param("id", 2**63, INTEGER, id="id-just-above-int64"),
     ],
 )
 def test_results_reader_is_type_strict(tmp_path, field, value, message):
@@ -394,6 +401,19 @@ def test_results_reader_is_type_strict(tmp_path, field, value, message):
                     + json.dumps({**RESULT, "id": 4, field: value}) + "\n")
     with pytest.raises(SequenceFormatError, match=f":3: {field} {message}"):
         read_results(path)
+
+
+def test_int64_extreme_ids_strictly_increase(tmp_path):
+    """The first and last int64 values are ids like any other, in order."""
+    sequence, results = tmp_path / "extreme.seq", tmp_path / "extreme.res"
+    sequence.write_text('{"format": 1, "n_lanes": 3}\n'
+                        + json.dumps({"id": -2**63, "t": 0.0, "lines": []}) + "\n"
+                        + json.dumps({"id": 2**63 - 1, "t": 0.1, "lines": []}) + "\n")
+    results.write_text('{"format": 1, "content": "results", "n_lanes": 3}\n'
+                       + json.dumps({**RESULT, "id": -2**63}) + "\n"
+                       + json.dumps({**RESULT, "id": 2**63 - 1}) + "\n")
+    assert read_table(sequence)[1].frame_ids.tolist() == [-2**63, 2**63 - 1]
+    assert [r.frame_id for r in read_results(results)[1]] == [-2**63, 2**63 - 1]
 
 
 def test_results_unnormalized_marginal_reports_line(tmp_path):

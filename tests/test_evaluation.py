@@ -77,16 +77,16 @@ def test_baseline_recomputes_lri_by_default(params3, cfg):
 def test_baseline_matches_per_frame_argmax(cfg):
     from lanehmm.simulator import SimConfig, simulate
 
-    header, frames, _ = simulate(SimConfig(n_lanes=4, duration_frames=600, seed=54,
-                                           offset_noise_sd_m=0.4, fail_prob=0.1))
-    evidence = build_evidence(header, SequenceTable.from_frames(frames), cfg)
+    header, table, _ = simulate(SimConfig(n_lanes=4, duration_frames=600, seed=54,
+                                          offset_noise_sd_m=0.4, fail_prob=0.1))
+    evidence = build_evidence(header, table, cfg)
     for bv in (0.0, 1.0, 7.0):
         expected = []
         for t in range(len(evidence)):
             tv = evidence.base[t] + bv * evidence.bonus[t]
             best = tv.max()
             tied = best == 0.0 or np.count_nonzero(tv == best) > 1
-            expected.append((frames[t].frame_id, None if tied else int(np.argmax(tv)) + 1))
+            expected.append((int(table.frame_ids[t]), None if tied else int(np.argmax(tv)) + 1))
         assert pairs(detector_baseline(evidence, bv)) == expected
         assert any(lane is None for _, lane in expected)
         assert any(lane is not None for _, lane in expected)

@@ -46,7 +46,7 @@ def test_predict_uniform_fixed_point_doubly_stochastic():
     cpts = CptSet.from_params(params)
     belief = init_belief(params)
     predicted = predict(belief, cpts.lane, cpts.sensor)
-    assert np.allclose(predicted, 0.25, atol=1e-15)
+    assert np.allclose(predicted, 0.25, rtol=0, atol=1e-15)
 
 
 def test_predict_uniform_lane_marginal_with_doubly_stochastic_cpt():
@@ -56,7 +56,7 @@ def test_predict_uniform_lane_marginal_with_doubly_stochastic_cpt():
     sensor_cpt = np.array([[0.95, 0.05], [0.4, 0.6]])
     belief = np.full((3, 2), 1.0 / 6.0)
     predicted = predict(belief, lane_cpt, sensor_cpt)
-    assert np.allclose(predicted.sum(axis=1), 1.0 / 3.0, atol=1e-15)
+    assert np.allclose(predicted.sum(axis=1), 1.0 / 3.0, rtol=0, atol=1e-15)
     assert not np.allclose(predicted.sum(axis=0), 0.5, atol=1e-3)
 
 
@@ -65,8 +65,8 @@ def test_predict_delta_reads_cpt_rows(params3):
     belief = np.zeros((3, 2))
     belief[1, 0] = 1.0  # lane 2, OK
     predicted = predict(belief, cpts.lane, cpts.sensor)
-    assert np.allclose(predicted.sum(axis=1), cpts.lane[1], atol=1e-15)
-    assert np.allclose(predicted.sum(axis=0), [params3.p1, 1 - params3.p1], atol=1e-15)
+    assert np.allclose(predicted.sum(axis=1), cpts.lane[1], rtol=0, atol=1e-15)
+    assert np.allclose(predicted.sum(axis=0), [params3.p1, 1 - params3.p1], rtol=0, atol=1e-15)
 
 
 def test_predict_matches_double_loop_oracle():
@@ -81,7 +81,7 @@ def test_predict_matches_double_loop_oracle():
                 for l2 in range(4):
                     for s2 in range(2):
                         expected[l2, s2] += belief[l, s] * cpts.lane[l, l2] * cpts.sensor[s, s2]
-        assert np.allclose(predict(belief, cpts.lane, cpts.sensor), expected, atol=1e-12)
+        assert np.allclose(predict(belief, cpts.lane, cpts.sensor), expected, rtol=0, atol=1e-12)
 
 
 def test_predict_dimension_mismatch(params3):
@@ -154,7 +154,7 @@ def test_step_with_uninformative_evidence_is_prediction_only(params3):
     cpts = lane_filter.cpts
     estimate = lane_filter.step(np.full(3, 1 / 3), np.array([0.5, 0.5]))
     expected = np.full(3, 1 / 3) @ cpts.lane
-    assert np.allclose(estimate.lane_marginal, expected, atol=1e-14)
+    assert np.allclose(estimate.lane_marginal, expected, rtol=0, atol=1e-14)
 
 
 def test_step_hard_evidence_monotone(params3):
@@ -168,7 +168,7 @@ def test_step_hard_evidence_monotone(params3):
         # Every prefix posterior must also agree with the enumeration oracle.
         evidence.append((hard, wor))
         oracle = enumerate_posterior(lane_filter.cpts, init_belief(params3), evidence)
-        assert np.allclose(lane_filter.belief, oracle, atol=1e-12)
+        assert np.allclose(lane_filter.belief, oracle, rtol=0, atol=1e-12)
     assert history[0] < history[1] < history[2]
 
 
@@ -197,7 +197,7 @@ def test_filter_matches_enumeration_oracle_small():
             oracle = enumerate_posterior(
                 lane_filter.cpts, init_belief(params), evidence
             )
-            assert np.allclose(lane_filter.belief, oracle, atol=1e-9)
+            assert np.allclose(lane_filter.belief, oracle, rtol=0, atol=1e-9)
 
 
 def test_enumeration_oracle_self_consistent():
@@ -210,7 +210,7 @@ def test_enumeration_oracle_self_consistent():
     b0 = init_belief(params)
     fast = enumerate_posterior(cpts, b0, evidence)
     literal = enumerate_posterior_literal(cpts, b0, evidence)
-    assert np.allclose(fast, literal, atol=1e-12)
+    assert np.allclose(fast, literal, rtol=0, atol=1e-12)
 
 
 def test_normalization_preserved_random_steps():

@@ -129,3 +129,23 @@ def test_parse_errors_report_line():
         zero_lanes.write_text("z | 0 | | 45.0,9.0;45.1,9.0\n")
         with pytest.raises(MapExtractError, match="lane_count"):
             load_extract(zero_lanes)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("s1 | 3 | nan | 45.5,9.1;45.5,9.2", "lane width must be finite and > 0, got nan"),
+        ("s1 | 3 | inf | 45.5,9.1;45.5,9.2", "lane width must be finite and > 0, got inf"),
+        ("s1 | 3 | 0 | 45.5,9.1;45.5,9.2", "lane width must be finite and > 0, got 0.0"),
+        ("s1 | 3 | -3.5 | 45.5,9.1;45.5,9.2", "lane width must be finite and > 0, got -3.5"),
+        ("s1 | 3 | 3.5 | 45.5,nan;45.5,9.2", "has a non-finite coordinate"),
+        ("s1 | 3 | | nan,9.1;45.5,9.2", "has a non-finite coordinate"),
+        ("s1 | 3 | | 45.5,9.1;inf,9.2", "has a non-finite coordinate"),
+        ("s1 | 3 | | 45.5,9.1;45.5,-inf", "has a non-finite coordinate"),
+    ],
+)
+def test_extract_rejects_non_finite_values(tmp_path, line, message):
+    path = tmp_path / "bad.map"
+    path.write_text("# one segment\n" + line + "\n")
+    with pytest.raises(MapExtractError, match=f"^{path}:2: segment 's1' {message}$"):
+        load_extract(path)

@@ -197,7 +197,7 @@ def test_logged_lri_above_window_reports_line(tmp_path, cfg):
     with pytest.raises(SequenceFormatError, match=f"^{path}:3: {message}$"):
         build_evidence(header, sequence, cfg)
     with pytest.raises(SequenceFormatError, match=f"^{message}$"):
-        build_evidence(header, table(sequence.frames()), cfg)
+        build_evidence(header, table(list(sequence)), cfg)
     build_evidence(header, sequence, RuntimeConfig(lri_window=11))
 
 

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from lanehmm.errors import ParameterError
-from lanehmm.dataset_io import write_sequence
+from lanehmm.dataset_io import LINE_COLUMNS, SequenceTable, write_sequence
 from lanehmm.inverse_sensor import line_compatible
 from lanehmm.model_core import RuntimeConfig
 from lanehmm.simulator import SimConfig, inject_burst, parse_sim_config, simulate
@@ -13,11 +15,11 @@ def test_noiseless_steady_state():
         n_lanes=3, duration_frames=50, lane_change_prob=0.0, fail_prob=0.0,
         detect_prob_ok=1.0, detect_prob_bad=0.0, offset_noise_sd_m=0.0, seed=1,
     )
-    header, frames, truth = simulate(config)
-    assert np.all(truth.gt_lane == truth.gt_lane[0])
-    assert not truth.crossing.any()
-    assert truth.sensor_ok.all()
-    for frame in frames:
+    header, table, sensor_ok = simulate(config)
+    assert np.all(table.gt == table.gt[0])
+    assert not table.crossing.any()
+    assert sensor_ok.all()
+    for frame in table:
         assert len(frame.lines) == 4
         offsets = sorted(line.offset_m for line in frame.lines)
         lane = frame.gt_lane
@@ -28,8 +30,8 @@ def test_noiseless_steady_state():
 def test_outermost_lines_continuous_stable_ids():
     config = SimConfig(n_lanes=3, duration_frames=5, detect_prob_ok=1.0,
                        fail_prob=0.0, lane_change_prob=0.0, seed=2)
-    _, frames, _ = simulate(config)
-    for frame in frames:
+    _, table, _ = simulate(config)
+    for frame in table:
         by_track = {line.track_id: line for line in frame.lines}
         assert set(by_track) == {"b0", "b1", "b2", "b3"}
         assert by_track["b0"].continuous and by_track["b3"].continuous
@@ -42,9 +44,9 @@ def test_bad_interval_emits_nothing_when_detect_bad_zero():
         fail_prob=0.3, recover_prob=0.3, detect_prob_ok=1.0, detect_prob_bad=0.0,
         seed=3,
     )
-    _, frames, truth = simulate(config)
-    assert (~truth.sensor_ok).sum() > 20  # the chain actually visits BAD
-    for frame, ok in zip(frames, truth.sensor_ok):
+    _, table, sensor_ok = simulate(config)
+    assert (~sensor_ok).sum() > 20  # the chain actually visits BAD
+    for frame, ok in zip(table, sensor_ok):
         if not ok:
             assert frame.lines == ()
         else:
@@ -53,21 +55,20 @@ def test_bad_interval_emits_nothing_when_detect_bad_zero():
 
 def test_deterministic_given_seed(tmp_path):
     config = SimConfig(n_lanes=3, duration_frames=10_000, seed=42)
-    header1, frames1, truth1 = simulate(config)
-    header2, frames2, truth2 = simulate(config)
-    assert frames1 == frames2
-    assert np.array_equal(truth1.gt_lane, truth2.gt_lane)
+    header1, table1, _ = simulate(config)
+    header2, table2, _ = simulate(config)
+    assert list(table1) == list(table2)
+    assert np.array_equal(table1.gt, table2.gt)
     a, b = tmp_path / "a.seq", tmp_path / "b.seq"
-    write_sequence(a, header1, frames1)
-    write_sequence(b, header2, frames2)
+    write_sequence(a, header1, table1)
+    write_sequence(b, header2, table2)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_failure_rate_matches_config():
     config = SimConfig(n_lanes=2, duration_frames=100_000, lane_change_prob=0.0,
                        fail_prob=0.05, recover_prob=0.3, seed=4)
-    _, _, truth = simulate(config)
-    ok = truth.sensor_ok
+    _, _, ok = simulate(config)
     from_ok = ok[:-1].sum()
     fails = np.sum(ok[:-1] & ~ok[1:])
     rate = fails / from_ok
@@ -78,10 +79,10 @@ def test_failure_rate_matches_config():
 def test_crossing_windows_have_expected_length():
     config = SimConfig(n_lanes=3, duration_frames=5000, lane_change_prob=0.01,
                        lane_change_duration=12, fail_prob=0.0, seed=5)
-    _, frames, truth = simulate(config)
+    _, table, _ = simulate(config)
     spans = []
     run = 0
-    for flag in truth.crossing:
+    for flag in table.crossing:
         if flag:
             run += 1
         elif run:
@@ -96,8 +97,8 @@ def test_geometry_matches_inverse_sensor(cfg):
     config = SimConfig(n_lanes=3, duration_frames=600, lane_change_prob=0.01,
                        lane_change_duration=8, fail_prob=0.0, detect_prob_ok=1.0,
                        offset_noise_sd_m=0.0, seed=6)
-    _, frames, truth = simulate(config)
-    for frame in frames:
+    _, table, _ = simulate(config)
+    for frame in table:
         if frame.crossing:
             continue
         for line in frame.lines:
@@ -112,9 +113,9 @@ def test_tentative_argmax_equals_gt_on_clean_frames(cfg, params3):
     config = SimConfig(n_lanes=3, duration_frames=400, lane_change_prob=0.005,
                        lane_change_duration=8, fail_prob=0.0, detect_prob_ok=1.0,
                        offset_noise_sd_m=0.0, seed=7)
-    _, frames, _ = simulate(config)
+    _, table, _ = simulate(config)
     tracker = LriTracker(cfg)
-    for t, frame in enumerate(frames):
+    for t, frame in enumerate(table):
         tracked = tracker.update([e.to_observation() for e in frame.lines])
         tv = tentative(tracked, params3, cfg)
         if t < cfg.lri_window or frame.crossing:
@@ -125,11 +126,70 @@ def test_tentative_argmax_equals_gt_on_clean_frames(cfg, params3):
 def test_gnss_track_when_origin_given():
     config = SimConfig(n_lanes=2, duration_frames=10, gnss_origin=(45.5, 9.1),
                        speed_mps=30.0, fps=10.0, seed=8)
-    _, frames, _ = simulate(config)
+    _, table, _ = simulate(config)
+    frames = list(table)
     assert frames[0].gnss == (45.5, 9.1)
     lons = [frame.gnss[1] for frame in frames]
     assert all(b > a for a, b in zip(lons, lons[1:]))
     assert all(frame.gnss[0] == 45.5 for frame in frames)
+
+
+# Digests of the written sequences, recorded from the frame-by-frame
+# simulator that built one record per frame: any moved bit fails.
+PINNED = {
+    "n1": (SimConfig(n_lanes=1, duration_frames=300, seed=21),
+           "852f5908431beddc946b7662b6c9568fcd9c045a7b6e9b3f1ef3c1dc1678b441"),
+    "n3": (SimConfig(n_lanes=3, duration_frames=500, seed=22),
+           "c653a2a83c458168d8cb62d7f9e09d467c01c57588b6a2f8fe6231ca57228936"),
+    "n4": (SimConfig(n_lanes=4, duration_frames=500, lane_change_prob=0.02, seed=23),
+           "49bbad0f95574c3c54fe6a8bf1bae18c74044b2ba1b677cff66b8cb19e492d46"),
+    "n5": (SimConfig(n_lanes=5, duration_frames=500, lane_change_prob=0.03, seed=24),
+           "2bb00756cf0ea378f5366d60efa181c2f4c611db1c109c5bc49568e25d7f34d8"),
+    "gnss": (SimConfig(n_lanes=3, duration_frames=300, gnss_origin=(45.5, 9.1), seed=25),
+             "b0cf57aefc31dbecb4c41a4a59082572abd4b6a53fa0308221c95c736ed732e0"),
+    "fixed": (SimConfig(n_lanes=3, duration_frames=500, failure_mode="fixed",
+                        fail_duration=7, fail_prob=0.03, seed=26),
+              "babc234c7d1642692f87bb7ca2e14e868896068e6b2aea2aae724893165dca96"),
+    "noiseless": (SimConfig(n_lanes=2, duration_frames=300, offset_noise_sd_m=0.0, seed=27),
+                  "aba60d225c17ff2313ef8f5fbcad84c9a402070498ab0e4786b43c4ab9a07eb9"),
+}
+
+
+def _digest(tmp_path, header, table) -> str:
+    path = tmp_path / "pinned.seq"
+    write_sequence(path, header, table)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_written_sequence_is_pinned(tmp_path, name):
+    config, digest = PINNED[name]
+    header, table, _ = simulate(config)
+    assert _digest(tmp_path, header, table) == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_table_is_the_table_of_its_records(name):
+    _, table, _ = simulate(PINNED[name][0])
+    rebuilt = SequenceTable.from_frames(list(table))
+    assert rebuilt.track_ids == table.track_ids
+    for column in ("frame_ids", "t", "gt", "crossing", "gnss", "source_line") + LINE_COLUMNS:
+        expected, actual = getattr(table, column), getattr(rebuilt, column)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape, column
+        assert actual.tobytes() == expected.tobytes(), column
+
+
+@pytest.mark.parametrize(
+    "name, burst, digest",
+    [("n3", dict(start=100, length=30, mode="dropout"),
+      "e92198df8d96848ca9f19aca897dc130d1ffa74eb8eaae5ee2c95223ec59ded4"),
+     ("n4", dict(start=50, length=100, mode="clutter", seed=5),
+      "f3d0faeccaa30e958bbb94422aa5b923f0d2734b3604bb8af2cd77c0458b37da")],
+)
+def test_burst_output_is_pinned(tmp_path, name, burst, digest):
+    header, table, _ = simulate(PINNED[name][0])
+    burst_table = inject_burst(table, header=header, **burst)
+    assert _digest(tmp_path, header, burst_table) == digest
 
 
 # --- burst injection ----------------------------------------------------------
@@ -137,8 +197,8 @@ def test_gnss_track_when_origin_given():
 def test_dropout_burst_empties_window():
     config = SimConfig(n_lanes=3, duration_frames=60, detect_prob_ok=1.0,
                        fail_prob=0.0, lane_change_prob=0.0, seed=9)
-    _, frames, _ = simulate(config)
-    burst = inject_burst(frames, start=20, length=10, mode="dropout")
+    _, table, _ = simulate(config)
+    burst = inject_burst(table, start=20, length=10, mode="dropout")
     for frame in burst:
         if 20 <= frame.frame_id < 30:
             assert frame.lines == ()
@@ -148,15 +208,15 @@ def test_dropout_burst_empties_window():
 
 def test_zero_length_burst_is_identity():
     config = SimConfig(n_lanes=2, duration_frames=20, seed=10)
-    _, frames, _ = simulate(config)
-    assert inject_burst(frames, start=5, length=0, mode="dropout") == frames
+    _, table, _ = simulate(config)
+    assert list(inject_burst(table, start=5, length=0, mode="dropout")) == list(table)
 
 
 def test_clutter_burst_uniform_offsets():
     config = SimConfig(n_lanes=3, duration_frames=4000, detect_prob_ok=1.0,
                        fail_prob=0.0, lane_change_prob=0.0, seed=11)
-    header, frames, _ = simulate(config)
-    burst = inject_burst(frames, start=0, length=4000, mode="clutter",
+    header, table, _ = simulate(config)
+    burst = inject_burst(table, start=0, length=4000, mode="clutter",
                          header=header, seed=12)
     offsets = np.array([
         line.offset_m
@@ -219,10 +279,10 @@ def test_fixed_failure_mode_burst_length():
     config = SimConfig(n_lanes=2, duration_frames=5000, lane_change_prob=0.0,
                        fail_prob=0.02, failure_mode="fixed", fail_duration=7,
                        seed=13)
-    _, _, truth = simulate(config)
+    _, _, sensor_ok = simulate(config)
     runs = []
     run = 0
-    for ok in truth.sensor_ok:
+    for ok in sensor_ok:
         if not ok:
             run += 1
         elif run:

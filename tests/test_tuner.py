@@ -230,7 +230,7 @@ def test_split_half():
     (h1, first), (h2, second) = split_half(header, frames)
     assert h1 == header and h2 == header
     assert len(first) == 50 and len(second) == 51
-    assert first + second == frames
+    assert list(first) + list(second) == list(frames)
 
 
 def test_search_space_validation():
