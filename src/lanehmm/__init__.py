@@ -49,7 +49,7 @@ from .inverse_sensor import (
     normalize_tentative,
     tentative_parts,
 )
-from .map_provider import MapExtract, RoadSegment, load_extract, lookup_lane_count
+from .map_provider import MapExtract, RoadSegment, load_extract
 from .model_core import (
     CptSet,
     HmmParams,
@@ -65,6 +65,6 @@ from .model_core import (
 )
 from .pipeline import build_evidence, run_sequence
 from .simulator import SimConfig, inject_burst, simulate
-from .tuner import SearchSpace, TunerResult, coordinate_refine, objective, random_search
+from .tuner import BOUNDS, BV_CHOICES, TunerResult, coordinate_refine, objective, random_search
 
 __version__ = "0.1.0"

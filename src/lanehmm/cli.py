@@ -3,7 +3,8 @@
 Subcommands: simulate, run, tune, evaluate, map-lookup, presets, selfcheck.
 Stdout carries only the machine-readable summary of each command;
 diagnostics go to stderr.  Exit codes: 0 success, 2 configuration or
-parameter errors, 3 input/parse/lookup errors, 4 internal errors.
+parameter errors, 3 input/parse/lookup errors, 4 internal errors (any
+other exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from .dataset_io import SequenceTable, read_results, read_table, write_results, 
 from .errors import (
     ConfigError,
     EmptyObjectiveError,
-    LaneHmmError,
     MapExtractError,
     ParameterError,
     SegmentNotFoundError,
     SequenceFormatError,
 )
-from .map_provider import load_extract, lookup_lane_count
+from .map_provider import load_extract
 from .model_core import RuntimeConfig
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ def _runtime_config(args, lane_width: float) -> RuntimeConfig:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    text = Path(args.sim_config).read_text(encoding="utf-8") if args.sim_config else ""
+    text = model_core.read_key_value_file(args.sim_config) if args.sim_config else ""
     config = simulator.parse_sim_config(
         text,
         source=args.sim_config or "<flags>",
@@ -118,9 +118,9 @@ def _resolve_lanes(args, header, table: SequenceTable) -> tuple[int, str]:
         if not len(fixes):
             _eprint("warning: --map given but the sequence has no GNSS fix")
         else:
-            fix = tuple(table.gnss[fixes[0]].tolist())
+            lat, lon = table.gnss[fixes[0]].tolist()
             try:
-                hit = lookup_lane_count(fix, extract, args.map_radius)
+                hit = extract.nearest(lat, lon, args.map_radius)
                 return hit.lane_count, f"map:{hit.segment_id}"
             except SegmentNotFoundError as exc:
                 _eprint(f"warning: map lookup failed ({exc}); using header lane count")
@@ -134,7 +134,7 @@ def cmd_run(args) -> int:
         header, table = read_table(args.input)
         source = str(args.input)
     else:
-        text = Path(args.sim_config).read_text(encoding="utf-8")
+        text = model_core.read_key_value_file(args.sim_config)
         config = simulator.parse_sim_config(text, source=args.sim_config, seed=args.seed)
         header, table, _ = simulator.simulate(config)
         source = f"sim:{args.sim_config}"
@@ -206,13 +206,10 @@ def cmd_tune(args) -> int:
             first, second = tuner.split_half(header, table)
             train.append(first)
             heldout.append(second)
-    space = tuner.SearchSpace()
-    result = tuner.random_search(space, train, budget=args.budget, seed=args.seed)
+    result = tuner.random_search(args.seed, train, budget=args.budget)
     all_trials = result.trials
     if args.refine:
-        result = tuner.coordinate_refine(
-            result.best_params, train, iterations=args.refine, space=space
-        )
+        result = tuner.coordinate_refine(result.best_params, train, iterations=args.refine)
         all_trials = all_trials + result.trials
     summary = {
         "command": "tune",
@@ -279,7 +276,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_map_lookup(args) -> int:
     extract = load_extract(args.map)
-    hit = lookup_lane_count((args.lat, args.lon), extract, args.map_radius)
+    hit = extract.nearest(args.lat, args.lon, args.map_radius)
     _emit(
         {
             "command": "map-lookup",
@@ -465,8 +462,8 @@ def main(argv=None) -> int:
             EmptyObjectiveError, FileNotFoundError, OSError) as exc:
         _eprint(f"error: {exc}")
         return EXIT_INPUT
-    except LaneHmmError as exc:
-        _eprint(f"internal error: {exc}")
+    except Exception as exc:  # a fault of the program, never a traceback
+        _eprint(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

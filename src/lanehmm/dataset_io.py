@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import SequenceFormatError
+from .errors import SequenceFormatError, decode_fault
 from .inverse_sensor import MAX_LINE_OFFSET_M, RawLineObservation
 
 FORMAT_VERSION = 1
@@ -127,6 +127,8 @@ class SequenceTable:
 
     def __getitem__(self, rows: slice) -> "SequenceTable":
         """The table of a contiguous range of frames, e.g. `table[:mid]`."""
+        if type(rows) is not slice:
+            raise TypeError(f"a SequenceTable slices contiguous frame ranges only, got {rows!r}")
         if rows.step not in (None, 1):
             raise ValueError("a SequenceTable slices contiguous frame ranges only")
         start, stop, _ = rows.indices(len(self))
@@ -252,8 +254,9 @@ class ResultTable:
 def _parse_json_line(raw: str, path, lineno: int) -> dict:
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SequenceFormatError(f"invalid JSON ({exc.msg})", path=path, line=lineno) from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+        raise SequenceFormatError(f"invalid JSON ({reason})", path=path, line=lineno) from None
     if not isinstance(obj, dict):
         raise SequenceFormatError("expected a JSON object", path=path, line=lineno)
     return obj
@@ -261,11 +264,15 @@ def _parse_json_line(raw: str, path, lineno: int) -> dict:
 
 def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                stripped = raw.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                yield lineno, stripped
+        except UnicodeDecodeError:
+            lineno, message = decode_fault(path)
+            raise SequenceFormatError(message, path=path, line=lineno) from None
 
 
 def _strict(value, kind: type, name: str, path, lineno: int):

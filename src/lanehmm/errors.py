@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all lanehmm modules."""
+"""Exception hierarchy shared by all lanehmm modules, and `decode_fault`."""
+
+from pathlib import Path
 
 
 class LaneHmmError(Exception):
@@ -44,3 +46,16 @@ class EmptyObjectiveError(LaneHmmError):
 
 class InternalError(LaneHmmError):
     """An invariant that should be unreachable was violated (upstream bug)."""
+
+
+def decode_fault(path) -> tuple[int, str]:
+    """(line, message) of the first non-UTF-8 bytes of `path`, for a reader
+    whose decode failed; lines end as in text mode, at \\n, \\r\\n or \\r."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        return line, f"not UTF-8 text ({exc.reason})"
+    raise OSError(f"{path} changed while it was read")

@@ -2,9 +2,9 @@
 
 Stands in for a live OpenStreetMap query: the extract is a small text
 file of road segments with lane counts (mirroring the OSM `lanes` way
-tag), loaded once and queried by nearest segment.  Distances use an
-equirectangular local approximation, adequate for query radii well below
-a kilometer at highway latitudes.
+tag), loaded once and queried by nearest segment, measuring every
+segment.  Distances use an equirectangular local approximation, adequate
+for query radii well below a kilometer at highway latitudes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MapExtractError, ParameterError, SegmentNotFoundError
+from .errors import MapExtractError, ParameterError, SegmentNotFoundError, decode_fault
 
 EARTH_RADIUS_M = 6371000.0
 
@@ -65,7 +65,7 @@ def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
 
 
 class MapExtract:
-    """Immutable collection of segments with precomputed bounding boxes."""
+    """Immutable collection of segments; `nearest` measures every one."""
 
     def __init__(self, segments: list[RoadSegment]):
         by_id: dict[str, RoadSegment] = {}
@@ -76,15 +76,6 @@ class MapExtract:
         # Sorted by id so lookups are insertion-order independent and ties
         # resolve to the lowest id.
         self.segments = tuple(by_id[key] for key in sorted(by_id))
-        self._bboxes = tuple(
-            (
-                min(p[0] for p in seg.polyline),
-                max(p[0] for p in seg.polyline),
-                min(p[1] for p in seg.polyline),
-                max(p[1] for p in seg.polyline),
-            )
-            for seg in self.segments
-        )
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -101,32 +92,12 @@ class MapExtract:
     def nearest(self, lat: float, lon: float, radius_m: float) -> LookupResult:
         if not radius_m > 0:
             raise ParameterError(f"map radius must be > 0, got {radius_m}")
-        # Degree margin generous enough that the bbox prefilter never
-        # excludes a segment within the radius.
-        margin = radius_m / EARTH_RADIUS_M * 180.0 / math.pi * 2.0
-        best: tuple[float, RoadSegment] | None = None
-        for seg, (lat_lo, lat_hi, lon_lo, lon_hi) in zip(self.segments, self._bboxes):
-            if (
-                lat < lat_lo - margin
-                or lat > lat_hi + margin
-                or lon < lon_lo - margin
-                or lon > lon_hi + margin
-            ):
-                continue
-            dist = self.distance_to(seg, lat, lon)
-            if dist <= radius_m and (best is None or dist < best[0]):
-                best = (dist, seg)
-        if best is None:
-            raise SegmentNotFoundError(
-                f"no segment within {radius_m} m of ({lat}, {lon})"
-            )
-        dist, seg = best
-        return LookupResult(
-            lane_count=seg.lane_count,
-            segment_id=seg.id,
-            distance_m=dist,
-            lane_width_m=seg.lane_width_m,
-        )
+        hits = [(dist, seg) for seg in self.segments
+                if (dist := self.distance_to(seg, lat, lon)) <= radius_m]
+        if not hits:
+            raise SegmentNotFoundError(f"no segment within {radius_m} m of ({lat}, {lon})")
+        dist, seg = min(hits, key=lambda hit: hit[0])  # the first, lowest id, wins a tie
+        return LookupResult(seg.lane_count, seg.id, dist, seg.lane_width_m)
 
 
 def load_extract(path: str | Path) -> MapExtract:
@@ -141,6 +112,9 @@ def load_extract(path: str | Path) -> MapExtract:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MapExtractError(f"cannot read extract {path}: {exc}") from None
+    except UnicodeDecodeError:
+        lineno, message = decode_fault(path)
+        raise MapExtractError(f"{path}:{lineno}: {message}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,10 +152,3 @@ def load_extract(path: str | Path) -> MapExtract:
     except MapExtractError as exc:
         raise MapExtractError(f"{path}: {exc}") from None
 
-
-def lookup_lane_count(
-    position: tuple[float, float], extract: MapExtract, radius_m: float = 50.0
-) -> LookupResult:
-    """Nearest-segment lane count at a GNSS position, or SegmentNotFoundError."""
-    lat, lon = position
-    return extract.nearest(lat, lon, radius_m)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, decode_fault
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -230,9 +230,18 @@ def parse_params_text(text: str, source: str = "<string>") -> HmmParams:
     return HmmParams(**values)
 
 
+def read_key_value_file(path: str | Path) -> str:
+    """The text of a parameter file or simulator config; bytes that are not
+    UTF-8 are a ParameterError at their line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        lineno, message = decode_fault(path)
+        raise ParameterError(f"{path}:{lineno}: {message}") from None
+
+
 def load_params(path: str | Path) -> HmmParams:
-    path = Path(path)
-    return parse_params_text(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_params_text(read_key_value_file(path), source=str(path))
 
 
 def format_params(params: HmmParams) -> str:

@@ -2,7 +2,8 @@
 
 The objective (per-frame accuracy on non-crossing annotated frames) is
 piecewise constant in the parameters, so the search is random sampling
-plus coordinate refinement on a shrinking grid.  Candidate evaluation is
+plus coordinate refinement on a shrinking grid, both over one fixed
+space, the module constants BOUNDS and BV_CHOICES.  Candidate evaluation is
 vectorized: the inverse-sensor pass is parameter-independent up to the
 bonus value, so it runs once per sequence and all candidates share it,
 and the K candidates of a sweep are stacked along a leading axis and
@@ -21,35 +22,15 @@ from .errors import ConfigError, EmptyObjectiveError, ParameterError
 from .evaluation import evaluate
 from .filtering import init_belief, lane_marginal
 from .model_core import CptSet, HmmParams
-from .pipeline import (
-    EvidenceStream,
-    build_evidence,
-    filter_blocks,
-    run_sequence,
-)
+from .pipeline import EvidenceStream, build_evidence, filter_blocks, run_sequence
 
 Sequence = tuple  # (SequenceHeader, SequenceTable or list[FrameRecord])
 
-_CONTINUOUS_DIMS = ("sigma1", "sigma2", "p1", "p2", "p3", "p4")
-
-
-@dataclass(frozen=True)
-class SearchSpace:
-    sigma1: tuple[float, float] = (0.05, 3.0)
-    sigma2: tuple[float, float] = (0.05, 3.0)
-    p1: tuple[float, float] = (0.01, 0.999)
-    p2: tuple[float, float] = (0.01, 0.999)
-    p3: tuple[float, float] = (0.01, 0.999)
-    p4: tuple[float, float] = (0.01, 0.999)
-    bv_choices: tuple[int, ...] = tuple(range(11))
-
-    def __post_init__(self) -> None:
-        for dim in _CONTINUOUS_DIMS:
-            lo, hi = getattr(self, dim)
-            if not lo < hi:
-                raise ParameterError(f"search bounds for {dim} must satisfy lower < upper")
-        if not self.bv_choices:
-            raise ParameterError("bv_choices must be non-empty")
+# The search space: uniform bounds per continuous parameter, in the order
+# random_search draws them, and the grid of bonus values.
+BOUNDS = {"sigma1": (0.05, 3.0), "sigma2": (0.05, 3.0), "p1": (0.01, 0.999),
+          "p2": (0.01, 0.999), "p3": (0.01, 0.999), "p4": (0.01, 0.999)}
+BV_CHOICES = tuple(range(11))
 
 
 @dataclass(frozen=True)
@@ -127,69 +108,50 @@ def objective(params: HmmParams, sequences: list[Sequence]) -> float:
     return total_correct / total_evaluated
 
 
-def random_search(
-    space: SearchSpace, sequences: list[Sequence], budget: int, seed: int
-) -> TunerResult:
-    """Uniform random candidates over the space; deterministic given seed."""
+def random_search(seed: int, sequences: list[Sequence], budget: int) -> TunerResult:
+    """`budget` uniform random candidates over BOUNDS and BV_CHOICES;
+    deterministic given seed."""
     if budget < 1:
         raise ParameterError("budget must be >= 1")
     n = _common_lane_count(sequences)
     rng = np.random.default_rng(seed)
-    draws = {
-        dim: rng.uniform(*getattr(space, dim), size=budget) for dim in _CONTINUOUS_DIMS
-    }
-    bvs = rng.choice(np.array(space.bv_choices), size=budget)
+    draws = {dim: rng.uniform(lo, hi, size=budget) for dim, (lo, hi) in BOUNDS.items()}
+    bvs = rng.choice(np.array(BV_CHOICES), size=budget)
     candidates = [
-        HmmParams(
-            n=n,
-            sigma1=float(draws["sigma1"][i]),
-            sigma2=float(draws["sigma2"][i]),
-            p1=float(draws["p1"][i]),
-            p2=float(draws["p2"][i]),
-            p3=float(draws["p3"][i]),
-            p4=float(draws["p4"][i]),
-            bv=float(bvs[i]),
-        )
+        HmmParams(n=n, bv=float(bvs[i]), **{dim: float(draws[dim][i]) for dim in BOUNDS})
         for i in range(budget)
     ]
     evidence = _evidence_list(sequences)
     accuracies = _batch_accuracy(candidates, evidence)
     best = int(np.argmax(accuracies))
-    return TunerResult(
-        best_params=candidates[best],
-        best_accuracy=float(accuracies[best]),
-        trials=tuple(zip(candidates, (float(a) for a in accuracies))),
-    )
+    return TunerResult(candidates[best], float(accuracies[best]),
+                       tuple(zip(candidates, (float(a) for a in accuracies))))
 
 
-def coordinate_refine(
-    start: HmmParams,
-    sequences: list[Sequence],
-    iterations: int,
-    space: SearchSpace | None = None,
-) -> TunerResult:
+def coordinate_refine(start: HmmParams, sequences: list[Sequence], iterations: int) -> TunerResult:
     """Cyclic coordinate descent on a per-dimension grid.
 
-    Each cycle sweeps every dimension with a 7-point grid centered on the
-    incumbent, halving the grid range per cycle; a move is taken only if
-    it strictly improves the objective, so the result is never worse than
-    the start.
+    Each cycle sweeps every continuous dimension with a 7-point grid
+    centered on the incumbent, halving the grid range per cycle, and then
+    `bv` over all of BV_CHOICES; a move is taken only if it strictly
+    improves the objective, so the result is never worse than the start.
     """
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
-    if space is None:
-        space = SearchSpace()
     evidence = _evidence_list(sequences)
     current = start
     current_acc = float(_batch_accuracy([start], evidence)[0])
     trials = [(current, current_acc)]
     for cycle in range(iterations):
         shrink = 0.5 ** cycle
-        for dim in _CONTINUOUS_DIMS:
-            lo, hi = getattr(space, dim)
-            half = (hi - lo) / 2.0 * shrink
-            center = getattr(current, dim)
-            grid = np.linspace(max(lo, center - half), min(hi, center + half), 7)
+        for dim in (*BOUNDS, "bv"):
+            if dim == "bv":
+                grid = BV_CHOICES
+            else:
+                lo, hi = BOUNDS[dim]
+                half = (hi - lo) / 2.0 * shrink
+                center = getattr(current, dim)
+                grid = np.linspace(max(lo, center - half), min(hi, center + half), 7)
             candidates = [current.replace(**{dim: float(v)}) for v in grid]
             accs = _batch_accuracy(candidates, evidence)
             best = int(np.argmax(accs))
@@ -197,18 +159,7 @@ def coordinate_refine(
             if accs[best] > current_acc:
                 current = candidates[best]
                 current_acc = float(accs[best])
-        bv_candidates = [current.replace(bv=float(b)) for b in space.bv_choices]
-        accs = _batch_accuracy(bv_candidates, evidence)
-        best = int(np.argmax(accs))
-        trials.extend(zip(bv_candidates, (float(a) for a in accs)))
-        if accs[best] > current_acc:
-            current = bv_candidates[best]
-            current_acc = float(accs[best])
-    return TunerResult(
-        best_params=current,
-        best_accuracy=current_acc,
-        trials=tuple(trials),
-    )
+    return TunerResult(current, current_acc, tuple(trials))
 
 
 def split_half(header, frames) -> tuple[Sequence, Sequence]:

@@ -48,7 +48,7 @@ def tuned_runs():
     for label, config in (("3-lane", CRITERION5_SIM3), ("4-lane", CRITERION5_SIM4)):
         header, frames, _ = simulate(config)
         result = tuner.random_search(
-            tuner.SearchSpace(), [(header, frames)], budget=500, seed=config.seed + 1
+            sequences=[(header, frames)], budget=500, seed=config.seed + 1
         )
         out[label] = (config, header, frames, result.best_params)
     out["elapsed_tuning"] = time.perf_counter() - t0

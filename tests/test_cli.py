@@ -419,3 +419,67 @@ def test_tune_holdout_excludes_no_split(capsys, sim3):
         cli.main(["tune", "--input", str(sim3), "--holdout", str(sim3), "--no-split"])
     assert exit_.value.code == cli.EXIT_CONFIG
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+def _with_bad_byte(path, line):
+    """Put a 0xff byte, which is never UTF-8, at the start of 1-based `line` of `path`."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("command", ["run --input", "evaluate --results", "map-lookup --map",
+                                     "run --params", "simulate --sim-config",
+                                     "run --sim-config"])
+def test_non_utf8_input_is_reported_at_its_line(capsys, sim3, tmp_path, command):
+    path = tmp_path / "bad"
+    argv = {
+        "run --input": ["run", "--input", str(path), "--preset", "spain-run06"],
+        "evaluate --results": ["evaluate", "--results", str(path), "--truth", str(sim3)],
+        "map-lookup --map": ["map-lookup", "--map", str(path), "--lat", "45.5", "--lon", "9.1"],
+        "run --params": ["run", "--input", str(sim3), "--params", str(path)],
+        "simulate --sim-config": ["simulate", "--sim-config", str(path),
+                                  "--out", str(tmp_path / "s.seq")],
+        "run --sim-config": ["run", "--sim-config", str(path), "--preset", "spain-run06"],
+    }[command]
+    if command == "evaluate --results":
+        run_cli(capsys, "run", "--input", str(sim3), "--preset", "spain-run06", "--out", str(path))
+    elif command == "map-lookup --map":
+        shutil.copy(FIXTURES / "extract3.map", path)
+    elif command == "run --params":
+        path.write_text(SPAIN06.format(n=3, bv=5))
+    elif command == "run --input":
+        shutil.copy(sim3, path)
+    else:
+        path.write_text("n_lanes=3\nduration_frames=50\nseed=1\n")
+    _with_bad_byte(path, 3)
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == (cli.EXIT_CONFIG if "--params" in command or "--sim-config" in command
+                    else cli.EXIT_INPUT)
+    assert stdout == ""
+    assert stderr == f"error: {path}:3: not UTF-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("content", ["sequence", "results"])
+def test_deeply_nested_json_is_input_error(capsys, sim3, tmp_path, content):
+    depth = 200_000
+    path = tmp_path / "nested"
+    path.write_text(json.dumps({"format": 1, "content": content, "n_lanes": 3}) + "\n"
+                    + '{"id": 0, "t": 0.0, "lines": ' + "[" * depth + "]" * depth + "}\n")
+    argv = (["run", "--input", str(path), "--preset", "spain-run06"] if content == "sequence"
+            else ["evaluate", "--results", str(path), "--truth", str(sim3)])
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert stderr == f"error: {path}:2: invalid JSON (nested too deeply)\n"
+
+
+def test_any_other_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_presets", broken)
+    code, stdout, stderr = run_cli(capsys, "presets")
+    assert code == cli.EXIT_INTERNAL
+    assert stdout == ""
+    assert stderr == "internal error: RuntimeError: boom\n"

@@ -284,6 +284,9 @@ def test_table_slices_are_tables_of_the_frame_slices():
         assert list(table[rows]) == frames[rows]
     with pytest.raises(ValueError, match="contiguous"):
         table[::2]
+    with pytest.raises(TypeError, match="^a SequenceTable slices contiguous frame ranges "
+                                        "only, got 0$"):
+        table[0]
 
 
 def json_dumps_results(header, results):

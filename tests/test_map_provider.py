@@ -8,7 +8,6 @@ from lanehmm.map_provider import (
     MapExtract,
     RoadSegment,
     load_extract,
-    lookup_lane_count,
 )
 
 from conftest import FIXTURES
@@ -22,11 +21,11 @@ def segment(seg_id, points, lanes=2, width=None):
 def test_fixture_extract_loads_and_answers():
     extract = load_extract(FIXTURES / "extract3.map")
     assert len(extract) == 3
-    hit = lookup_lane_count((45.5001, 9.15), extract, radius_m=50)
+    hit = extract.nearest(45.5001, 9.15, radius_m=50)
     assert hit.lane_count == 4
     assert hit.segment_id == "a4-west"
     assert hit.lane_width_m == 3.5
-    ramp = lookup_lane_count((45.515, 9.1501), extract, radius_m=50)
+    ramp = extract.nearest(45.515, 9.1501, radius_m=50)
     assert ramp.lane_count == 1 and ramp.segment_id == "ramp-1"
 
 
@@ -45,7 +44,7 @@ def test_duplicate_id_rejected_by_name():
 
 def test_vertex_hit_distance_zero():
     extract = MapExtract([segment("s", [(45.5, 9.1), (45.5, 9.2)], lanes=4)])
-    hit = lookup_lane_count((45.5, 9.1), extract, radius_m=10)
+    hit = extract.nearest(45.5, 9.1, radius_m=10)
     assert hit.lane_count == 4 and hit.segment_id == "s"
     assert hit.distance_m == 0.0
 
@@ -53,7 +52,7 @@ def test_vertex_hit_distance_zero():
 def test_far_away_not_found():
     extract = MapExtract([segment("s", [(45.5, 9.1), (45.5, 9.2)])])
     with pytest.raises(SegmentNotFoundError):
-        lookup_lane_count((45.59, 9.15), extract, radius_m=50)  # ~10 km north
+        extract.nearest(45.59, 9.15, radius_m=50)  # ~10 km north
 
 
 def test_equidistant_tie_breaks_to_lowest_id():
@@ -91,6 +90,24 @@ def test_returned_distance_never_exceeds_radius():
         except SegmentNotFoundError:
             continue
         assert hit.distance_m <= radius
+
+
+@pytest.mark.parametrize("lat", [0.0, 45.0, -45.0, 70.0, -70.0, 80.0, -80.0])
+@pytest.mark.parametrize("direction", ["east", "north"])
+def test_lookup_finds_every_segment_within_the_radius(lat, direction):
+    # A short segment crossing the point 0.8 r due east or due north of
+    # the query, perpendicular to that direction.
+    radius, lon = 50.0, 9.0
+    away = math.degrees(0.8 * radius / 6371000.0)
+    half = math.degrees(5.0 / 6371000.0)
+    if direction == "east":
+        east = lon + away / math.cos(math.radians(lat))
+        points = [(lat - half, east), (lat + half, east)]
+    else:
+        points = [(lat + away, lon - half), (lat + away, lon + half)]
+    hit = MapExtract([segment("s", points)]).nearest(lat, lon, radius)
+    assert hit.segment_id == "s"
+    assert hit.distance_m == pytest.approx(0.8 * radius, rel=1e-3)
 
 
 def test_insertion_order_irrelevant():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lanehmm import pipeline
-from lanehmm.errors import ConfigError, EmptyObjectiveError, ParameterError
+from lanehmm.errors import ConfigError, EmptyObjectiveError
 from lanehmm.model_core import HmmParams, load_preset
 from lanehmm.simulator import SimConfig, simulate
 from lanehmm.tuner import (
-    SearchSpace,
+    BOUNDS,
+    BV_CHOICES,
     _batch_accuracy,
     _evidence_list,
     coordinate_refine,
@@ -135,7 +136,7 @@ def test_batched_accuracy_matches_objective_exactly(case, monkeypatch):
 
 def test_budget_one_returns_single_candidate():
     header, frames = noisy_sim(frames=200)
-    result = random_search(SearchSpace(), [(header, frames)], budget=1, seed=5)
+    result = random_search(sequences=[(header, frames)], budget=1, seed=5)
     assert len(result.trials) == 1
     assert result.trials[0][0] == result.best_params
     assert result.trials[0][1] == result.best_accuracy
@@ -149,31 +150,30 @@ def test_search_beats_default_on_two_lane_sim():
     )
     default = HmmParams(n=2, sigma1=0.4, sigma2=0.4, p1=0.9, p2=0.9, p3=0.8,
                         p4=0.8, bv=2.0)
-    result = random_search(SearchSpace(), [(header, frames)], budget=200, seed=74)
+    result = random_search(sequences=[(header, frames)], budget=200, seed=74)
     assert result.best_accuracy >= objective(default, [(header, frames)])
 
 
 def test_random_search_deterministic():
     header, frames = noisy_sim(frames=400)
-    a = random_search(SearchSpace(), [(header, frames)], budget=20, seed=9)
-    b = random_search(SearchSpace(), [(header, frames)], budget=20, seed=9)
+    a = random_search(sequences=[(header, frames)], budget=20, seed=9)
+    b = random_search(sequences=[(header, frames)], budget=20, seed=9)
     assert a.best_params == b.best_params
     assert a.best_accuracy == b.best_accuracy
     assert a.trials == b.trials
-    c = random_search(SearchSpace(), [(header, frames)], budget=20, seed=10)
+    c = random_search(sequences=[(header, frames)], budget=20, seed=10)
     assert c.trials != a.trials
 
 
 def test_search_result_invariants():
     header, frames = noisy_sim(frames=300)
-    result = random_search(SearchSpace(), [(header, frames)], budget=30, seed=12)
+    result = random_search(sequences=[(header, frames)], budget=30, seed=12)
     accuracies = [acc for _, acc in result.trials]
     assert result.best_accuracy == max(accuracies)
     assert isinstance(result.best_params, HmmParams)  # construction validates
-    space = SearchSpace()
     for params, _ in result.trials:
-        assert space.sigma1[0] <= params.sigma1 <= space.sigma1[1]
-        assert params.bv in space.bv_choices
+        assert BOUNDS["sigma1"][0] <= params.sigma1 <= BOUNDS["sigma1"][1]
+        assert params.bv in BV_CHOICES
 
 
 def test_identifiability_of_sensor_persistence():
@@ -192,7 +192,7 @@ def test_identifiability_of_sensor_persistence():
                       detect_prob_bad=0.1, offset_noise_sd_m=0.3, seed=900 + rep)
         )
         sequences = [(header, frames)]
-        searched = random_search(SearchSpace(), sequences, budget=500, seed=1900 + rep)
+        searched = random_search(sequences=sequences, budget=500, seed=1900 + rep)
         refined = coordinate_refine(searched.best_params, sequences, iterations=2)
         raw_hits += abs(searched.best_params.p1 - 0.9) <= 0.15
         refined_hits += abs(refined.best_params.p1 - 0.9) <= 0.15
@@ -216,9 +216,21 @@ def test_refine_never_worse_than_start(params3):
     assert result.best_accuracy >= start_acc
 
 
+def test_refine_sweeps_each_bound_then_every_bonus_value(params3):
+    header, frames = noisy_sim(frames=200)
+    result = coordinate_refine(params3, [(header, frames)], iterations=1)
+    trials = [params for params, _ in result.trials]
+    assert trials[0] == params3
+    sweeps = [trials[1 + 7 * i:8 + 7 * i] for i in range(len(BOUNDS))] + [trials[43:]]
+    for dim, sweep in zip([*BOUNDS, "bv"], sweeps):
+        center = sweep[0]
+        assert all(p.replace(**{dim: getattr(center, dim)}) == center for p in sweep), dim
+    assert [p.bv for p in sweeps[-1]] == list(BV_CHOICES)
+
+
 def test_refine_after_search_not_worse():
     header, frames = noisy_sim(frames=800)
-    searched = random_search(SearchSpace(), [(header, frames)], budget=40, seed=14)
+    searched = random_search(sequences=[(header, frames)], budget=40, seed=14)
     refined = coordinate_refine(searched.best_params, [(header, frames)], iterations=1)
     assert refined.best_accuracy >= searched.best_accuracy
 
@@ -233,15 +245,8 @@ def test_split_half():
     assert list(first) + list(second) == list(frames)
 
 
-def test_search_space_validation():
-    with pytest.raises(ParameterError):
-        SearchSpace(sigma1=(2.0, 1.0))
-    with pytest.raises(ParameterError):
-        SearchSpace(bv_choices=())
-
-
 def test_sequences_must_share_lane_count(params3):
     h3, f3 = noisy_sim(frames=50)
     h4, f4 = noisy_sim(n=4, frames=50)
     with pytest.raises(ConfigError):
-        random_search(SearchSpace(), [(h3, f3), (h4, f4)], budget=2, seed=1)
+        random_search(sequences=[(h3, f3), (h4, f4)], budget=2, seed=1)
