@@ -403,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="sequence file")
     p.add_argument("--sim-config", help="simulate on the fly instead of reading a file")
     _add_params_args(p)
-    p.add_argument("--map", help="map extract for the lane-count prior")
+    p.add_argument("--map", help="map extract whose lane count is checked against the header")
     p.add_argument("--map-radius", type=float, default=DEFAULT_MAP_RADIUS_M)
-    p.add_argument("--lanes", type=int, help="explicit lane count (overrides map/header)")
+    p.add_argument("--lanes", type=int, help="lane count to check against the header, not --map")
     p.add_argument("--lane-width", type=float)
     p.add_argument("--out", help="results file")
     p.add_argument("--trace", help="per-frame timeline table (TSV)")

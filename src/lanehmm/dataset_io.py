@@ -6,9 +6,9 @@ The format is documented in docs/format.md; the header carries
 `format=1`.  `#` lines are comments.
 
 `read_table` reads a sequence into numpy columns, a `SequenceTable`, the
-simulator's output type too; iterating one yields `FrameRecord`s, as
-`read_sequence` does.  `run_sequence` returns a `ResultTable` of columns,
-which `write_results` formats.
+simulator's output type too, which `write_sequence` writes; iterating
+one yields `FrameRecord`s, as `read_sequence` does.  `run_sequence`
+returns a `ResultTable` of columns, which `write_results` formats.
 
 LRI and validity are normally recomputed from the per-frame `det` flags
 so the hysteresis logic is exercised; logs converted from recordings that
@@ -30,10 +30,12 @@ import numpy as np
 
 from .errors import SequenceFormatError, decode_fault
 from .inverse_sensor import MAX_LINE_OFFSET_M, RawLineObservation
+from .model_core import MAX_LANES
 
 FORMAT_VERSION = 1
 INT64 = range(-2**63, 2**63)  # the JSON integers a numpy int column holds
 LRI_SOURCES = ("recompute", "log")
+PROB_TOLERANCE = 1e-9  # how far a results file's probabilities may stray from [0, 1] and sum 1
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,9 @@ class SequenceHeader:
     lri_source: str = "recompute"
 
     def __post_init__(self) -> None:
-        if self.n_lanes < 1:
-            raise SequenceFormatError(f"n_lanes must be >= 1, got {self.n_lanes}")
+        if not 1 <= self.n_lanes <= MAX_LANES:
+            raise SequenceFormatError(
+                f"n_lanes must be >= 1 and <= {MAX_LANES}, got {self.n_lanes}")
         if not self.lane_width_m > 0:
             raise SequenceFormatError(f"lane_width_m must be > 0, got {self.lane_width_m}")
         if not self.fps > 0:
@@ -204,16 +207,21 @@ class SequenceTable:
             track_ids=tuple(codes),
         )
 
-    def __iter__(self) -> Iterator[FrameRecord]:
-        """The table as frame records, one frame at a time; `from_frames` inverts it."""
+    def _rows(self) -> Iterator[tuple]:
+        """Per frame: its id, t, gt, crossing, lat, lon and its lines' column values."""
         entries = zip(*(getattr(self, name).tolist() for name in LINE_COLUMNS[1:]))
         counts = np.bincount(self.line_frame, minlength=len(self)).tolist()
         for frame_id, t, gt, crossing, (lat, lon), count in zip(
                 *(getattr(self, name).tolist() for name in _FRAME_COLUMNS[:5]), counts):
+            yield frame_id, t, gt, crossing, lat, lon, islice(entries, count)
+
+    def __iter__(self) -> Iterator[FrameRecord]:
+        """The table as frame records, one frame at a time; `from_frames` inverts it."""
+        for frame_id, t, gt, crossing, lat, lon, entries in self._rows():
             lines = tuple(
                 LineEntry(self.track_ids[track], offset, cont, det,
                           None if lri < 0 else lri, None if valid < 0 else bool(valid))
-                for track, offset, cont, det, lri, valid in islice(entries, count))
+                for track, offset, cont, det, lri, valid in entries)
             yield FrameRecord(frame_id, t, lines, None if math.isnan(lat) else (lat, lon),
                               None if gt < 0 else gt, crossing)
 
@@ -228,7 +236,7 @@ class ResultRecord:
     wor_frac: float
 
     def __post_init__(self) -> None:
-        if abs(sum(self.lane_marginal) - 1.0) > 1e-9:
+        if abs(sum(self.lane_marginal) - 1.0) > PROB_TOLERANCE:
             raise SequenceFormatError(
                 f"lane marginal of frame {self.frame_id} does not sum to 1"
             )
@@ -464,73 +472,50 @@ def read_table(path: str | Path) -> tuple[SequenceHeader, SequenceTable]:
 
 
 def read_sequence(path: str | Path) -> tuple[SequenceHeader, Iterator[FrameRecord]]:
-    """Open a sequence file: the header now, its frames as they are consumed.
-
-    The frames are `read_table`'s, so the first one consumed raises the
-    file's first format error, with its line number.
-    """
-    path = Path(path)
-    lines = _content_lines(path)
-    header = _read_header(lines, path, "sequence")
-
-    def frames() -> Iterator[FrameRecord]:
-        table = _read_frames(lines, header, path)
-        table.check(header)
-        yield from table
-
-    return header, frames()
+    """`read_table`'s header and its frames as records; the call raises the
+    file's first format error, with its line number."""
+    header, table = read_table(path)
+    return header, iter(table)
 
 
 # --- serialization ----------------------------------------------------------
 
-def _header_obj(header: SequenceHeader, content: str) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "content": content,
-        "n_lanes": header.n_lanes,
-        "lane_width_m": header.lane_width_m,
-        "fps": header.fps,
-        "source": header.source,
-        "lri_source": header.lri_source,
-    }
-
-
-def _line_obj(entry: LineEntry) -> dict:
-    obj = {
-        "track": entry.track_id,
-        "offset": entry.offset_m,
-        "cont": entry.continuous,
-        "det": entry.detected,
-    }
-    if entry.lri is not None:
-        obj["lri"] = entry.lri
-    if entry.is_valid is not None:
-        obj["valid"] = entry.is_valid
-    return obj
-
-
-def _frame_obj(frame: FrameRecord) -> dict:
-    obj: dict = {"id": frame.frame_id, "t": frame.timestamp_s}
-    if frame.gnss is not None:
-        obj["gnss"] = list(frame.gnss)
-    obj["lines"] = [_line_obj(entry) for entry in frame.lines]
-    if frame.gt_lane is not None:
-        obj["gt"] = frame.gt_lane
-    obj["crossing"] = frame.crossing
-    return obj
-
-
-def write_sequence(
-    path: str | Path, header: SequenceHeader, frames: Iterable[FrameRecord]
-) -> None:
+def _write(path: str | Path, header: SequenceHeader, content: str,
+           lines: Iterable[str]) -> None:
+    """Write the header line of a `content` file, then `lines`."""
     path = Path(path)
+    head = {"format": FORMAT_VERSION, "content": content, **dataclasses.asdict(header)}
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_header_obj(header, "sequence")) + "\n")
-            for frame in frames:
-                fh.write(json.dumps(_frame_obj(frame)) + "\n")
+            fh.write(json.dumps(head) + "\n")
+            fh.writelines(lines)
     except OSError as exc:
-        raise SequenceFormatError(f"cannot write sequence: {exc}", path=path) from None
+        raise SequenceFormatError(f"cannot write {content}: {exc}", path=path) from None
+
+
+def _frame_lines(table: SequenceTable) -> Iterator[str]:
+    """The frame lines of `table`, each the text `json.dumps` gives its frame
+    object; gnss is left out where NaN, gt, lri and valid where negative."""
+    quoted = [json.dumps(track_id) for track_id in table.track_ids]
+    flag = ("false", "true")
+    for frame_id, t, gt, crossing, lat, lon, entries in table._rows():
+        lines = ", ".join(
+            f'{{"track": {quoted[track]}, "offset": {offset!r}, "cont": {flag[cont]}, '
+            f'"det": {flag[det]}' + (f', "lri": {lri}' if lri >= 0 else "")
+            + (f', "valid": {flag[valid]}' if valid >= 0 else "") + "}"
+            for track, offset, cont, det, lri, valid in entries)
+        gnss = "" if math.isnan(lat) else f'"gnss": [{lat!r}, {lon!r}], '
+        gt = "" if gt < 0 else f', "gt": {gt}'
+        yield (f'{{"id": {frame_id}, "t": {t!r}, {gnss}"lines": [{lines}]{gt}, '
+               f'"crossing": {flag[crossing]}}}\n')
+
+
+def write_sequence(path: str | Path, header: SequenceHeader,
+                   frames: SequenceTable | Iterable[FrameRecord]) -> None:
+    """Write a sequence file from a table's columns; records become a table first."""
+    if not isinstance(frames, SequenceTable):
+        frames = SequenceTable.from_frames(frames)
+    _write(path, header, "sequence", _frame_lines(frames))
 
 
 def write_results(path: str | Path, header: SequenceHeader, results: ResultTable) -> None:
@@ -540,7 +525,6 @@ def write_results(path: str | Path, header: SequenceHeader, results: ResultTable
     floats, the same text `json.dumps` gives for the finite values a
     filter produces.
     """
-    path = Path(path)
     vector = ", ".join(["{!r}"] * results.lane_marginal.shape[1])
     template = ('{{"id": {!r}, "map_lane": {!r}, "marginal": [' + vector
                 + '], "sensor_ok": {!r}, "tentative": [' + vector + '], "wor": {!r}}}\n')
@@ -549,21 +533,18 @@ def write_results(path: str | Path, header: SequenceHeader, results: ResultTable
         *results.lane_marginal.T.tolist(), results.sensor_ok_prob.tolist(),
         *results.tentative.T.tolist(), results.wor_frac.tolist(),
     )
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_header_obj(header, "results")) + "\n")
-            fh.writelines(starmap(template.format, rows))
-    except OSError as exc:
-        raise SequenceFormatError(f"cannot write results: {exc}", path=path) from None
+    _write(path, header, "results", starmap(template.format, rows))
 
 
 def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
     """Read a results file as strictly as a sequence file.
 
     `id` and `map_lane` must be JSON integers, `map_lane` must lie in
-    [1, n_lanes], `marginal` and `tentative` must have n_lanes entries and
-    the marginal must sum to 1, ids must strictly increase and every float
-    must be finite; any failure is a SequenceFormatError with the line
+    [1, n_lanes], `marginal` and `tentative` must have n_lanes entries,
+    the marginal must sum to 1, its entries, `sensor_ok` and `wor` must lie
+    in [0, 1] (both within PROB_TOLERANCE), `tentative` entries must be
+    >= 0, ids must strictly increase and every float must be
+    finite; any failure is a SequenceFormatError with the line
     number.  A line whose fields all pass an inline type test becomes a
     record directly; only another calls `_strict` on each field.
     """
@@ -572,6 +553,7 @@ def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
     header = _read_header(lines, path, "results")
     n = header.n_lanes
     isfinite = math.isfinite
+    unit = ("marginal",) * n + ("sensor_ok", "wor")  # the fields that lie in [0, 1]
 
     def fault(message: str) -> SequenceFormatError:  # at the line being read
         return SequenceFormatError(message, path=path, line=lineno)
@@ -613,6 +595,12 @@ def read_results(path: str | Path) -> tuple[SequenceHeader, list[ResultRecord]]:
                 raise fault(f"{name} must have {n} entries, got {len(values)}")
         if not 1 <= record.map_lane <= n:
             raise fault(f"map_lane {record.map_lane} outside [1, {n}]")
+        values = record.lane_marginal + (record.sensor_ok_prob, record.wor_frac)
+        for name, value in zip(unit, values):
+            if not -PROB_TOLERANCE <= value <= 1.0 + PROB_TOLERANCE:
+                raise fault(f"{name} must lie in [0, 1], got {value}")
+        if min(record.tentative) < 0:
+            raise fault(f"tentative must be >= 0, got {min(record.tentative)}")
         if records and record.frame_id <= records[-1].frame_id:
             raise fault(f"frame ids not strictly increasing ({record.frame_id} after "
                         f"{records[-1].frame_id})")

@@ -92,6 +92,10 @@ class MapExtract:
     def nearest(self, lat: float, lon: float, radius_m: float) -> LookupResult:
         if not radius_m > 0:
             raise ParameterError(f"map radius must be > 0, got {radius_m}")
+        if not -90 <= lat <= 90:
+            raise ParameterError(f"lat must be finite and in [-90, 90], got {lat}")
+        if not math.isfinite(lon):
+            raise ParameterError(f"lon must be finite, got {lon}")
         hits = [(dist, seg) for seg in self.segments
                 if (dist := self.distance_to(seg, lat, lon)) <= radius_m]
         if not hits:

@@ -23,6 +23,7 @@ from .errors import ParameterError, decode_fault
 _SQRT2 = math.sqrt(2.0)
 
 PARAM_FIELDS = ("n", "sigma1", "sigma2", "p1", "p2", "p3", "p4", "bv")
+MAX_LANES = 32  # in a header, a simulator config or HmmParams: a tuner sweep holds K (n, n) tables
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -52,8 +53,8 @@ class HmmParams:
     bv: float
 
     def __post_init__(self) -> None:
-        if not float(self.n).is_integer() or self.n < 1:
-            raise ParameterError(f"n must be an integer >= 1, got {self.n}")
+        if not float(self.n).is_integer() or not 1 <= self.n <= MAX_LANES:
+            raise ParameterError(f"n must be an integer in [1, {MAX_LANES}], got {self.n}")
         if not 0 < self.sigma1 < math.inf:
             raise ParameterError(f"sigma1 must be finite and > 0, got {self.sigma1}")
         if not 0 < self.sigma2 < math.inf:
@@ -77,8 +78,8 @@ class RuntimeConfig:
     hysteresis_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.lane_width > 0:
-            raise ParameterError(f"lane_width must be > 0, got {self.lane_width}")
+        if not 0 < self.lane_width < math.inf:
+            raise ParameterError(f"lane_width must be > 0 and finite, got {self.lane_width}")
         if not self.compat_tolerance > 0:
             raise ParameterError(
                 f"compat_tolerance must be > 0, got {self.compat_tolerance}"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset_io import LINE_COLUMNS, SequenceHeader, SequenceTable
 from .errors import ParameterError
-from .model_core import parse_key_values
+from .model_core import MAX_LANES, parse_key_values
 
 FAILURE_MODES = ("markov", "fixed")
 
@@ -43,8 +43,8 @@ class SimConfig:
     speed_mps: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.n_lanes < 1:
-            raise ParameterError(f"n_lanes must be >= 1, got {self.n_lanes}")
+        if not 1 <= self.n_lanes <= MAX_LANES:
+            raise ParameterError(f"n_lanes must be >= 1 and <= {MAX_LANES}, got {self.n_lanes}")
         if not 0 < self.lane_width_m < math.inf:
             raise ParameterError("lane_width_m must be finite and > 0")
         if not 0 < self.fps < math.inf:

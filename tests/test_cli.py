@@ -305,15 +305,31 @@ def test_map_lookup(capsys):
     assert code == cli.EXIT_INPUT
 
 
-@pytest.mark.parametrize("radius", ["0", "-5"])
-def test_map_lookup_nonpositive_radius_is_config_error(capsys, radius):
+@pytest.mark.parametrize(
+    "lat, lon, radius, message",
+    [
+        pytest.param("45.5001", "9.15", "0", "map radius must be > 0, got 0.0", id="0"),
+        pytest.param("45.5001", "9.15", "-5", "map radius must be > 0, got -5.0", id="-5"),
+        pytest.param("inf", "9.15", "50", "lat must be finite and in [-90, 90], got inf",
+                     id="lat-inf"),
+        pytest.param("nan", "9.15", "50", "lat must be finite and in [-90, 90], got nan",
+                     id="lat-nan"),
+        pytest.param("91", "9.15", "50", "lat must be finite and in [-90, 90], got 91.0",
+                     id="lat-91"),
+        pytest.param("-90.5", "9.15", "50", "lat must be finite and in [-90, 90], got -90.5",
+                     id="lat-below"),
+        pytest.param("45.5001", "nan", "50", "lon must be finite, got nan", id="lon-nan"),
+        pytest.param("45.5001", "inf", "50", "lon must be finite, got inf", id="lon-inf"),
+    ],
+)
+def test_map_lookup_nonpositive_radius_is_config_error(capsys, lat, lon, radius, message):
     code, stdout, stderr = run_cli(
         capsys, "map-lookup", "--map", str(FIXTURES / "extract3.map"),
-        "--lat", "45.5001", "--lon", "9.15", "--map-radius", radius,
+        "--lat", lat, "--lon", lon, "--map-radius", radius,
     )
     assert code == cli.EXIT_CONFIG
     assert stdout == ""
-    assert stderr == f"error: map radius must be > 0, got {float(radius)}\n"
+    assert stderr == f"error: {message}\n"
 
 
 def test_presets_list_and_show(capsys):
@@ -380,18 +396,20 @@ def test_simulate_rejects_infinite_fps(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_run_rejects_zero_lane_width(capsys, sim3):
+@pytest.mark.parametrize("width", ["0", "inf"])
+def test_run_rejects_zero_lane_width(capsys, sim3, width):
     code, _, stderr = run_cli(capsys, "run", "--input", str(sim3), "--preset", "spain-run06",
-                              "--lane-width", "0")
+                              "--lane-width", width)
     assert code == cli.EXIT_CONFIG
     assert "lane_width must be > 0" in stderr
 
 
-def test_evaluate_rejects_zero_lane_width(capsys, sim3, tmp_path):
+@pytest.mark.parametrize("width", ["0", "inf"])
+def test_evaluate_rejects_zero_lane_width(capsys, sim3, tmp_path, width):
     results = _truncated_results(capsys, sim3, tmp_path, keep=400)
     code, _, stderr = run_cli(capsys, "evaluate", "--results", str(results),
                               "--truth", str(sim3), "--preset", "spain-run06",
-                              "--lane-width", "0")
+                              "--lane-width", width)
     assert code == cli.EXIT_CONFIG
     assert "lane_width must be > 0" in stderr
 

@@ -19,6 +19,7 @@ from lanehmm.dataset_io import (
     write_sequence,
 )
 from lanehmm.errors import SequenceFormatError
+from lanehmm.model_core import MAX_LANES
 
 from conftest import FIXTURES
 
@@ -77,8 +78,8 @@ def test_header_only_is_empty_stream():
 
 
 def test_gt_out_of_range_reports_line():
-    header, frames = read_sequence(FIXTURES / "bad_gt.seq")
     with pytest.raises(SequenceFormatError, match="gt_lane 5"):
+        header, frames = read_sequence(FIXTURES / "bad_gt.seq")
         list(frames)
 
 
@@ -104,16 +105,16 @@ def test_non_monotonic_ids_rejected(tmp_path):
         '{"id": 3, "t": 0.0, "lines": [], "crossing": false}\n'
         '{"id": 3, "t": 0.1, "lines": [], "crossing": false}\n'
     )
-    header, frames = read_sequence(path)
     with pytest.raises(SequenceFormatError, match="strictly increasing"):
+        header, frames = read_sequence(path)
         list(frames)
 
 
 def test_bad_json_reports_line_number(tmp_path):
     path = tmp_path / "bad.seq"
     path.write_text('{"format": 1, "n_lanes": 2}\n{oops\n')
-    header, frames = read_sequence(path)
     with pytest.raises(SequenceFormatError, match=":2:"):
+        header, frames = read_sequence(path)
         list(frames)
 
 
@@ -123,8 +124,8 @@ def test_log_source_requires_lri_fields(tmp_path):
         '{"format": 1, "n_lanes": 2, "lri_source": "log"}\n'
         '{"id": 0, "t": 0.0, "lines": [{"track": "a", "offset": 1.0, "cont": false, "det": true}], "crossing": false}\n'
     )
-    header, frames = read_sequence(path)
     with pytest.raises(SequenceFormatError, match="lri"):
+        header, frames = read_sequence(path)
         list(frames)
 
 
@@ -138,8 +139,8 @@ def test_duplicate_track_id_in_frame_reports_line(tmp_path, lri_source):
         + json.dumps({"id": 0, "t": 0.0, "lines": [line]}) + "\n"
         + json.dumps({"id": 1, "t": 0.1, "lines": [line, dict(line, offset=1.75)]}) + "\n"
     )
-    header, frames = read_sequence(path)
     with pytest.raises(SequenceFormatError, match=r":3: track id 'b0' reported twice"):
+        header, frames = read_sequence(path)
         list(frames)
 
 
@@ -187,8 +188,8 @@ def test_reader_is_type_strict(tmp_path, where, field, value):
     path = tmp_path / "typed.seq"
     path.write_text('{"format": 1, "n_lanes": 3, "lri_source": "log"}\n'
                     + json.dumps(frame) + "\n")
-    header, frames = read_sequence(path)
     with pytest.raises(SequenceFormatError, match=f":2: {field} must be a JSON"):
+        header, frames = read_sequence(path)
         list(frames)
 
 
@@ -198,6 +199,7 @@ def test_reader_is_type_strict(tmp_path, where, field, value):
         ("n_lanes", 2.9, "n_lanes must be a JSON integer"),
         ("n_lanes", True, "n_lanes must be a JSON integer"),
         ("n_lanes", 0, "n_lanes must be >= 1"),
+        ("n_lanes", MAX_LANES + 1, f"n_lanes must be >= 1 and <= {MAX_LANES}, got {MAX_LANES + 1}"),
         ("lane_width_m", "3.5", "lane_width_m must be a JSON finite number"),
         ("lane_width_m", float("nan"), "lane_width_m must be a JSON finite number"),
         ("lane_width_m", 0, "lane_width_m must be > 0"),
@@ -287,6 +289,65 @@ def test_table_slices_are_tables_of_the_frame_slices():
     with pytest.raises(TypeError, match="^a SequenceTable slices contiguous frame ranges "
                                         "only, got 0$"):
         table[0]
+
+
+def json_dumps_sequence(header, frames):
+    """The text of the per-frame `json.dumps` sequence writer that the
+    columnar writer replaced, kept as its reference."""
+    lines = [json.dumps({"format": 1, "content": "sequence", "n_lanes": header.n_lanes,
+                         "lane_width_m": header.lane_width_m, "fps": header.fps,
+                         "source": header.source, "lri_source": header.lri_source})]
+    for frame in frames:
+        obj = {"id": frame.frame_id, "t": frame.timestamp_s}
+        if frame.gnss is not None:
+            obj["gnss"] = list(frame.gnss)
+        obj["lines"] = []
+        for entry in frame.lines:
+            line = {"track": entry.track_id, "offset": entry.offset_m,
+                    "cont": entry.continuous, "det": entry.detected}
+            if entry.lri is not None:
+                line["lri"] = entry.lri
+            if entry.is_valid is not None:
+                line["valid"] = entry.is_valid
+            obj["lines"].append(line)
+        if frame.gt_lane is not None:
+            obj["gt"] = frame.gt_lane
+        obj["crossing"] = frame.crossing
+        lines.append(json.dumps(obj))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [5e-324, -5e-324, -0.0, 0.0, 1e16, 1e-300, 1.7976931348623157e308,
+               -1e308, 0.1 + 0.2, 123456789.0]
+
+
+@st.composite
+def frame_lists(draw):
+    """Frame records with every optional field present or absent, any finite
+    float, and track ids with quotes, escapes and non-ASCII characters."""
+    number = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    track = st.text(max_size=4) | st.sampled_from(['"', "\\", "b\"0'", "é", "车道", "\x00\n"])
+    entry = st.builds(LineEntry, track, number, st.booleans(), st.booleans(),
+                      st.none() | st.integers(0, 2**62), st.none() | st.booleans())
+    frame = st.builds(
+        FrameRecord, st.integers(-2**62, 2**62), number,
+        st.lists(entry, max_size=4, unique_by=lambda e: e.track_id).map(tuple),
+        st.none() | st.tuples(number, number), st.none() | st.integers(0, 2**62),
+        st.booleans())
+    return draw(st.lists(frame, max_size=6))
+
+
+@given(frame_lists(), st.sampled_from(["recompute", "log"]))
+@settings(max_examples=200)
+def test_sequence_writer_matches_json_dumps(tmp_path_factory, frames, lri_source):
+    header = SequenceHeader(n_lanes=3, lane_width_m=3.25, source="wrîter \"q\"",
+                            lri_source=lri_source)
+    table = SequenceTable.from_frames(frames)
+    expected = json_dumps_sequence(header, frames)
+    path = tmp_path_factory.getbasetemp() / "w.seq"
+    for written in (table, list(table), frames):
+        write_sequence(path, header, written)
+        assert path.read_text(encoding="utf-8") == expected
 
 
 def json_dumps_results(header, results):
@@ -395,6 +456,14 @@ FINITE = "must be a JSON finite number"
         pytest.param("tentative", [0.0], "must have 3 entries, got 1", id="tentative-short"),
         pytest.param("id", 10**23, INTEGER, id="id-above-int64"),
         pytest.param("id", 2**63, INTEGER, id="id-just-above-int64"),
+        pytest.param("marginal", [1.5, -0.5, 0.0], r"must lie in \[0, 1\], got 1.5",
+                     id="marginal-above-one"),
+        pytest.param("marginal", [0.0, 1.0 + 1e-6, -1e-6], r"must lie in \[0, 1\], got 1.000001",
+                     id="marginal-just-above-one"),
+        pytest.param("sensor_ok", 7.0, r"must lie in \[0, 1\], got 7.0", id="sensor_ok-above-one"),
+        pytest.param("wor", -2.0, r"must lie in \[0, 1\], got -2.0", id="wor-negative"),
+        pytest.param("tentative", [0.0, -3.0, 0.0], "must be >= 0, got -3.0",
+                     id="tentative-negative"),
     ],
 )
 def test_results_reader_is_type_strict(tmp_path, field, value, message):
@@ -404,6 +473,16 @@ def test_results_reader_is_type_strict(tmp_path, field, value, message):
                     + json.dumps({**RESULT, "id": 4, field: value}) + "\n")
     with pytest.raises(SequenceFormatError, match=f":3: {field} {message}"):
         read_results(path)
+
+
+def test_results_probabilities_may_stray_by_rounding(tmp_path):
+    """Marginal entries, sensor_ok and wor within 1e-9 of [0, 1] are read."""
+    path = tmp_path / "rounded.res"
+    path.write_text('{"format": 1, "content": "results", "n_lanes": 3}\n'
+                    + json.dumps({**RESULT, "marginal": [1.0 + 5e-10, -5e-10, 0.0],
+                                  "sensor_ok": -1e-10, "wor": 1.0 + 1e-10}) + "\n")
+    (record,) = read_results(path)[1]
+    assert record.lane_marginal == (1.0 + 5e-10, -5e-10, 0.0)
 
 
 def test_int64_extreme_ids_strictly_increase(tmp_path):

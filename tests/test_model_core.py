@@ -3,6 +3,7 @@ import pytest
 
 from lanehmm.errors import ParameterError
 from lanehmm.model_core import (
+    MAX_LANES,
     HmmParams,
     RuntimeConfig,
     build_detector_cpt,
@@ -193,7 +194,7 @@ def test_cpt_rows_stochastic_over_random_draws():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n", 0), ("sigma1", 0.0), ("sigma2", -1.0), ("p1", 0.0), ("p2", 1.0),
+    [("n", 0), ("n", MAX_LANES + 1), ("sigma1", 0.0), ("sigma2", -1.0), ("p1", 0.0), ("p2", 1.0),
      ("p3", -0.2), ("p4", 1.7), ("bv", -1.0)],
 )
 def test_params_domain_enforced(field, value):

@@ -6,7 +6,7 @@ import pytest
 from lanehmm.errors import ParameterError
 from lanehmm.dataset_io import LINE_COLUMNS, SequenceTable, write_sequence
 from lanehmm.inverse_sensor import line_compatible
-from lanehmm.model_core import RuntimeConfig
+from lanehmm.model_core import MAX_LANES, RuntimeConfig
 from lanehmm.simulator import SimConfig, inject_burst, parse_sim_config, simulate
 
 
@@ -273,6 +273,13 @@ def test_sim_config_domain():
         SimConfig(detect_prob_ok=0.0)
     with pytest.raises(ParameterError):
         SimConfig(duration_frames=0)
+
+
+def test_sim_config_lane_count_is_bounded():
+    assert SimConfig(n_lanes=MAX_LANES).n_lanes == MAX_LANES
+    with pytest.raises(ParameterError,
+                       match=f"n_lanes must be >= 1 and <= {MAX_LANES}, got {MAX_LANES + 1}"):
+        SimConfig(n_lanes=MAX_LANES + 1)
 
 
 def test_fixed_failure_mode_burst_length():
