@@ -78,8 +78,13 @@ def likelihood(
         raise ParameterError("tentative/detector CPT dimensions do not match belief")
     if wor.shape != frames + (2,) or wor_cpt.shape != lead + (2, 2):
         raise ParameterError("WOR evidence must have two entries")
-    wor = wor.reshape(frames + (1,) * len(lead) + (2,))
     lane_term = (detector_cpt @ tentative[..., None, :, None])[..., 0]  # (..., 2, n): SS, lane
+    return weigh_wor(lane_term, wor, wor_cpt)
+
+
+def weigh_wor(lane_term: np.ndarray, wor: np.ndarray, wor_cpt: np.ndarray) -> np.ndarray:
+    """`likelihood` from its lane term `detector_cpt @ tentative`, (..., 2, n)."""
+    wor = wor.reshape(wor.shape[:-1] + (1,) * (wor_cpt.ndim - 2) + (2,))
     wor_term = (wor_cpt @ wor[..., :, None])[..., 0]                    # (..., 2)
     lik = lane_term.swapaxes(-1, -2)                                    # (..., n, 2)
     lik *= wor_term[..., None, :]
@@ -118,16 +123,24 @@ def forward(
     """Filter `belief` through a block of B frames; the B posteriors, (B, ..., n, 2).
 
     `lik` is the block's `likelihood`.  Each step is predict and update
-    with the same arithmetic, so the posteriors are bitwise those of B
-    predict/update calls.
+    with the same arithmetic, in place, so the posteriors are bitwise those
+    of B predict/update calls; a zero normalizer is caught once per block.
     """
     if lik.shape[-2:] != belief.shape[-2:] or lik.shape[1:] != lane_cpt.shape[:-1] + (2,):
         raise ParameterError(f"likelihood block {lik.shape} does not match belief {belief.shape}")
     lane_t = lane_cpt.swapaxes(-1, -2)
+    moved = np.empty(lik.shape[1:])
     posteriors = np.empty(lik.shape)
-    for i, step_lik in enumerate(lik):
-        belief = _normalized(((lane_t @ belief) @ sensor_cpt) * step_lik)
-        posteriors[i] = belief
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step_lik, belief_out in zip(lik, posteriors):
+            np.matmul(lane_t, belief, out=moved)
+            np.matmul(moved, sensor_cpt, out=belief_out)
+            belief_out *= step_lik
+            belief_out /= belief_out.sum(axis=(-2, -1), keepdims=True)
+            belief = belief_out
+    if not np.isfinite(posteriors).all():
+        # Unreachable with open-interval parameters (all CPT entries > 0).
+        raise InternalError("zero normalizer in forward; parameter domain violated upstream")
     return posteriors
 
 

@@ -7,9 +7,10 @@ detector-only baseline and every tuner candidate share it.
 
 `filter_blocks` is the one forward-filter loop, for run_sequence (one
 parameter set) and the tuner sweep (K stacked candidates).  It works in
-blocks of frames: the likelihoods of a whole block in one call, then
-only transition, multiply and normalize per frame.  Every result is
-bitwise what `LaneFilter.step` gives frame by frame.
+blocks of frames: the likelihoods of a whole block at once, each piece of
+evidence that candidates share formed once, then only transition,
+multiply and normalize per frame, in place.  Every result is bitwise
+what `LaneFilter.step` gives frame by frame.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dataset_io import ResultTable, SequenceHeader, SequenceTable
 from .errors import ConfigError
-from .filtering import forward, init_belief, lane_marginal, likelihood
+from .filtering import forward, init_belief, lane_marginal, weigh_wor
 from .inverse_sensor import normalize_tentative
 from .model_core import CptSet, HmmParams, RuntimeConfig
 
@@ -186,17 +187,29 @@ def filter_blocks(evidence: EvidenceStream, cpts: CptSet, bv, belief: np.ndarray
     `bv` their (K, 1) bonus values.  Yields each block's frame slice and
     posteriors, (B, K, n, 2) or (B, n, 2) for one candidate, each bitwise
     what `LaneFilter.step` would hold after that frame.
+
+    Per frame, it normalizes a tentative vector per distinct bonus value
+    and forms a lane term per distinct (detector row block, bonus value)
+    pair, by bit pattern; a sigma1 or p1..p4 sweep has two such pairs.
     """
     if cpts.n != evidence.n:
         raise ConfigError(
             f"parameter lane count {cpts.n} conflicts with sequence lane count {evidence.n}"
         )
-    block = max(1, _BLOCK_CANDIDATE_LANES // (np.size(bv) * evidence.n))
+    block = max(1, _BLOCK_CANDIDATE_LANES // (np.size(bv) * cpts.n))
+    values, bv_index = np.unique(bv, return_inverse=True)
+    blocks = cpts.detector.reshape(-1, cpts.n, cpts.n)
+    block_bv = np.repeat(bv_index, 2)
+    keys = np.column_stack([blocks.reshape(len(blocks), -1).view(np.int64), block_bv])
+    _, first, pair = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    tables, pair_bv = blocks[first], block_bv[first]
+    pair = pair.reshape(cpts.detector.shape[:-2])  # (..., 2): each row block's pair
     wor = wor_matrix(evidence)
     for start in range(0, len(evidence), block):
         rows = slice(start, start + block)
-        tentative = normalize_tentative(tentative_matrix(evidence, bv, rows), evidence.n)
-        lik = likelihood(tentative, wor[rows], cpts.detector, cpts.wor)
+        tentative = normalize_tentative(tentative_matrix(evidence, values[:, None], rows), cpts.n)
+        lane_term = (tables @ tentative[:, pair_bv, :, None])[..., 0]  # (B, pairs, n)
+        lik = weigh_wor(lane_term[:, pair], wor[rows], cpts.wor)
         posteriors = forward(belief, cpts.lane, cpts.sensor, lik)
         belief = posteriors[-1]
         yield rows, posteriors

@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataset_io import LINE_COLUMNS, SequenceHeader, SequenceTable
 from .errors import ParameterError
+from .inverse_sensor import MAX_LINE_OFFSET_M
 from .model_core import MAX_LANES, parse_key_values
 
 FAILURE_MODES = ("markov", "fixed")
@@ -74,6 +75,8 @@ class SimConfig:
             raise ParameterError(f"failure_mode must be one of {FAILURE_MODES}")
         if self.fail_duration < 1:
             raise ParameterError("fail_duration must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def replace(self, **changes) -> "SimConfig":
         return dataclasses.replace(self, **changes)
@@ -163,7 +166,9 @@ def simulate(config: SimConfig) -> tuple[SequenceHeader, SequenceTable, np.ndarr
 
     # Boundary j of frame t is seen if u_detect[t, j] < its detection probability.
     detect_p = np.where(sensor_ok, config.detect_prob_ok, config.detect_prob_bad)
-    line_frame, j = np.nonzero(u_detect < detect_p[:, None])
+    offset = (np.arange(n + 1) * W - position[:, None]) + config.offset_noise_sd_m * z_noise
+    seen = (u_detect < detect_p[:, None]) & (np.abs(offset) < MAX_LINE_OFFSET_M)
+    line_frame, j = np.nonzero(seen)
     boundaries = j[np.sort(np.unique(j, return_index=True)[1])]  # first-appearance order
     code = np.empty(n + 1, dtype=int)
     code[boundaries] = np.arange(len(boundaries))
@@ -184,7 +189,7 @@ def simulate(config: SimConfig) -> tuple[SequenceHeader, SequenceTable, np.ndarr
         source_line=np.zeros(T, dtype=int),
         line_frame=line_frame,
         track=code[j],
-        offset=(j * W - position[line_frame]) + config.offset_noise_sd_m * z_noise[line_frame, j],
+        offset=offset[line_frame, j],
         cont=(j == 0) | (j == n),
         det=np.ones_like(j, dtype=bool),
         lri=np.full_like(j, -1),
@@ -208,8 +213,8 @@ def inject_burst(
 
     "dropout" drops the lines of every frame whose id lies in
     [start, start+length); "clutter" appends one spurious line to each of
-    those frames, at an offset drawn uniformly over the roadway span
-    (requires the header for the geometry).
+    those frames, at an offset drawn uniformly over the roadway span within
+    the reader's offset bound (requires the header for the geometry).
     """
     if mode not in ("dropout", "clutter"):
         raise ParameterError(f"unknown burst mode {mode!r}")
@@ -224,7 +229,7 @@ def inject_burst(
         return dataclasses.replace(table, **{name: lines[name][keep] for name in lines})
     window = np.flatnonzero(in_window)
     track_ids = table.track_ids + ("clutter",) * ("clutter" not in table.track_ids)
-    span = header.n_lanes * header.lane_width_m
+    span = min(header.n_lanes * header.lane_width_m, np.nextafter(MAX_LINE_OFFSET_M, 0.0))
     added = {
         "line_frame": window, "track": track_ids.index("clutter"),
         "offset": np.random.default_rng(seed).uniform(-span, span, size=len(window)),

@@ -8,7 +8,8 @@ vectorized: the inverse-sensor pass is parameter-independent up to the
 bonus value, so it runs once per sequence and all candidates share it,
 and the K candidates of a sweep are stacked along a leading axis and
 filtered by `pipeline.filter_blocks`, the loop run_sequence uses, in
-blocks of about 8192 / (K n) frames.
+blocks of about 8192 / (K n) frames, which forms the evidence candidates
+share once; the refine start is scored in the first sweep.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def random_search(seed: int, sequences: list[Sequence], budget: int) -> TunerRes
     deterministic given seed."""
     if budget < 1:
         raise ParameterError("budget must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     n = _common_lane_count(sequences)
     rng = np.random.default_rng(seed)
     draws = {dim: rng.uniform(lo, hi, size=budget) for dim, (lo, hi) in BOUNDS.items()}
@@ -135,13 +138,13 @@ def coordinate_refine(start: HmmParams, sequences: list[Sequence], iterations: i
     centered on the incumbent, halving the grid range per cycle, and then
     `bv` over all of BV_CHOICES; a move is taken only if it strictly
     improves the objective, so the result is never worse than the start.
+    The trials open with the start and its accuracy, then each sweep's grid.
     """
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
     evidence = _evidence_list(sequences)
-    current = start
-    current_acc = float(_batch_accuracy([start], evidence)[0])
-    trials = [(current, current_acc)]
+    # The start leads the first sweep, where argmax keeps it on a tie.
+    current, current_acc, trials = start, -1.0, []
     for cycle in range(iterations):
         shrink = 0.5 ** cycle
         for dim in (*BOUNDS, "bv"):
@@ -153,12 +156,17 @@ def coordinate_refine(start: HmmParams, sequences: list[Sequence], iterations: i
                 center = getattr(current, dim)
                 grid = np.linspace(max(lo, center - half), min(hi, center + half), 7)
             candidates = [current.replace(**{dim: float(v)}) for v in grid]
+            if not trials:
+                candidates.insert(0, start)
             accs = _batch_accuracy(candidates, evidence)
             best = int(np.argmax(accs))
             trials.extend(zip(candidates, (float(a) for a in accs)))
             if accs[best] > current_acc:
                 current = candidates[best]
                 current_acc = float(accs[best])
+    if not trials:
+        current_acc = float(_batch_accuracy([start], evidence)[0])
+        trials.append((start, current_acc))
     return TunerResult(current, current_acc, tuple(trials))
 
 

@@ -396,6 +396,24 @@ def test_simulate_rejects_infinite_fps(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", ["simulate", "run-sim-config", "tune", "sim-config-file"])
+def test_negative_seed_is_config_error(capsys, sim3, tmp_path, entry):
+    config = tmp_path / "sim.cfg"
+    config.write_text("seed=-4\n" if entry == "sim-config-file" else "n_lanes=3\n")
+    out = tmp_path / "s.seq"
+    argv = {
+        "simulate": ["simulate", "--seed", "-1", "--out", str(out)],
+        "run-sim-config": ["run", "--sim-config", str(config), "--seed", "-2"],
+        "tune": ["tune", "--input", str(sim3), "--budget", "2", "--seed", "-1"],
+        "sim-config-file": ["simulate", "--sim-config", str(config), "--out", str(out)],
+    }[entry]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert "seed must be >= 0" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("width", ["0", "inf"])
 def test_run_rejects_zero_lane_width(capsys, sim3, width):
     code, _, stderr = run_cli(capsys, "run", "--input", str(sim3), "--preset", "spain-run06",

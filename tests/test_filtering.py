@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from lanehmm.errors import ParameterError
+from lanehmm.errors import InternalError, ParameterError
 from lanehmm.filtering import (
     LaneFilter,
     forward,
@@ -333,6 +335,24 @@ def test_forward_rejects_mismatched_block(params3):
         forward(np.full((4, 2), 0.125), np.full((4, 4), 0.25), cpts.sensor, lik)
     with pytest.raises(ParameterError):
         likelihood(np.full((2, 5, 3), 1 / 3), np.full((2, 5, 2), 0.5), cpts.detector, cpts.wor)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_forward_zero_normalizer_is_internal_error(params3, k):
+    # A frame whose likelihood is zero in every state leaves nothing to
+    # normalize; the block raises, with no RuntimeWarning on the way.
+    cpts = CptSet.from_params(params3)
+    lead = () if k is None else (k,)
+
+    def stack(table):
+        return table if k is None else np.stack([table] * k)
+
+    lik = np.full((6,) + lead + (3, 2), 0.5)
+    lik[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InternalError, match="zero normalizer"):
+            forward(stack(init_belief(params3)), stack(cpts.lane), stack(cpts.sensor), lik)
 
 
 def test_candidate_axis_shapes_must_agree(params3):

@@ -17,7 +17,7 @@ from lanehmm.dataset_io import (
     write_sequence,
 )
 from lanehmm.errors import ConfigError, SequenceFormatError
-from lanehmm.filtering import LaneFilter
+from lanehmm.filtering import LaneFilter, init_belief
 from lanehmm.inverse_sensor import (
     LriTracker,
     TrackedLine,
@@ -25,7 +25,7 @@ from lanehmm.inverse_sensor import (
     normalize_tentative,
     tentative_parts,
 )
-from lanehmm.model_core import RuntimeConfig
+from lanehmm.model_core import CptSet, RuntimeConfig
 from lanehmm.pipeline import (
     EvidenceStream,
     build_evidence,
@@ -326,6 +326,52 @@ def test_run_sequence_is_bitwise_a_lane_filter_stream(run):
         assert results.lane_marginal[t].tobytes() == estimate.lane_marginal.tobytes()
         assert (np.float64(results.sensor_ok_prob[t]).tobytes()
                 == np.float64(estimate.sensor_ok_prob).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 32])
+def test_grouped_sweep_is_bitwise_k_lane_filter_streams(n, monkeypatch):
+    # filter_blocks normalizes one tentative vector per distinct bonus value
+    # and forms one lane term per distinct (detector row block, bonus value)
+    # pair; every candidate must still hold its own LaneFilter's bits.
+    rng = np.random.default_rng(80 + n)
+    T = 60
+    evidence = EvidenceStream(
+        n=n,
+        frame_ids=np.arange(T),
+        base=rng.integers(0, 4, (T, n)).astype(float),  # all-zero rows included
+        bonus=rng.integers(0, 2, (T, n)).astype(float),
+        wor_frac=rng.uniform(0.0, 1.0, T),
+        gt_lane=np.full(T, -1),
+        crossing=np.zeros(T, dtype=bool),
+    )
+    a, b = random_params(rng, n), random_params(rng, n)
+    candidates = [
+        a,
+        a.replace(sigma1=b.sigma1, p1=b.p1),      # shares both pairs with a
+        b.replace(sigma2=a.sigma2),               # shares a's OK table
+        b.replace(bv=a.bv),                       # shares a's bonus value
+        a,                                        # an exact duplicate
+        b,
+    ]
+    cpts = [CptSet.from_params(p) for p in candidates]
+    stacked = CptSet(n=n, **{name: np.stack([getattr(c, name) for c in cpts])
+                             for name in ("lane", "sensor", "detector", "wor")})
+    bv = np.array([[p.bv] for p in candidates])
+    # Blocks of 7 frames for the stack: 60 = 8 * 7 + 4.
+    monkeypatch.setattr(pipeline, "_BLOCK_CANDIDATE_LANES", 7 * len(candidates) * n)
+    swept = np.concatenate([posteriors for _, posteriors in
+                            pipeline.filter_blocks(evidence, stacked, bv, init_belief(a))])
+    single = np.concatenate([posteriors for _, posteriors in
+                             pipeline.filter_blocks(evidence, cpts[0], a.bv, init_belief(a))])
+    wor = wor_matrix(evidence)
+    for k, params in enumerate(candidates):
+        lane_filter = LaneFilter(params)
+        tentative_rows = tentative_matrix(evidence, params.bv)
+        for t in range(T):
+            lane_filter.step(normalize_tentative(tentative_rows[t], n), wor[t])
+            assert swept[t, k].tobytes() == lane_filter.belief.tobytes(), (k, t)
+            if k == 0:
+                assert single[t].tobytes() == lane_filter.belief.tobytes(), t
 
 
 def test_run_sequence_deterministic(params3, cfg):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lanehmm.errors import ParameterError
-from lanehmm.dataset_io import LINE_COLUMNS, SequenceTable, write_sequence
+from lanehmm.dataset_io import LINE_COLUMNS, SequenceTable, read_table, write_sequence
 from lanehmm.inverse_sensor import line_compatible
 from lanehmm.model_core import MAX_LANES, RuntimeConfig
 from lanehmm.simulator import SimConfig, inject_burst, parse_sim_config, simulate
@@ -280,6 +280,26 @@ def test_sim_config_lane_count_is_bounded():
     with pytest.raises(ParameterError,
                        match=f"n_lanes must be >= 1 and <= {MAX_LANES}, got {MAX_LANES + 1}"):
         SimConfig(n_lanes=MAX_LANES + 1)
+
+
+def test_sim_config_seed_is_non_negative():
+    assert SimConfig(seed=0).seed == 0
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -4"):
+        SimConfig(seed=-4)
+
+
+def test_every_lane_count_gives_a_readable_sequence(tmp_path):
+    # Lines beyond the reader's offset bound are not emitted, so a road of
+    # up to MAX_LANES lanes of 3.5 m, clutter included, reads back.
+    for n in range(1, MAX_LANES + 1):
+        header, table, _ = simulate(SimConfig(n_lanes=n, duration_frames=200, seed=1))
+        table.check(header)
+        inject_burst(table, 0, 200, "clutter", header=header, seed=2).check(header)
+    assert len(table.track_ids) < MAX_LANES + 1  # the far lines were dropped
+    path = tmp_path / "wide.seq"
+    write_sequence(path, header, table)
+    read_header, read = read_table(path)
+    assert read_header == header and read.track_ids == table.track_ids
 
 
 def test_fixed_failure_mode_burst_length():

@@ -106,7 +106,8 @@ REPRODUCER = HmmParams(
 
 
 @pytest.mark.parametrize(
-    "case", ["noisy3", "reproducer", "noisy4", "one-frame-blocks", "remainder-block"])
+    "case", ["noisy3", "reproducer", "noisy4", "one-frame-blocks", "remainder-block",
+             "shared-evidence"])
 def test_batched_accuracy_matches_objective_exactly(case, monkeypatch):
     rng = np.random.default_rng(77)
     if case == "one-frame-blocks":
@@ -118,6 +119,12 @@ def test_batched_accuracy_matches_objective_exactly(case, monkeypatch):
     if case in ("noisy3", "one-frame-blocks", "remainder-block"):
         header, frames = noisy_sim(frames=500, seed=76)
         candidates = [random_params(rng, 3) for _ in range(8)]
+    elif case == "shared-evidence":
+        # A refine sweep: the start and a sigma1 grid share one OK and one
+        # BAD (detector row block, bonus value) pair.
+        header, frames = noisy_sim(frames=500, seed=79)
+        start = random_params(rng, 3)
+        candidates = [start] + [start.replace(sigma1=float(v)) for v in np.linspace(0.05, 3.0, 7)]
     elif case == "reproducer":
         # A private einsum copy of the filter once scored this candidate
         # 0.7762 here, against 0.7548 from the reference route.
@@ -207,6 +214,14 @@ def test_refine_zero_iterations_returns_start(params3):
     result = coordinate_refine(params3, [(header, frames)], iterations=0)
     assert result.best_params == params3
     assert result.best_accuracy == objective(params3, [(header, frames)])
+
+
+@pytest.mark.parametrize("iterations", [0, 1])
+def test_refine_trials_open_with_the_start_and_its_objective(params3, iterations):
+    header, frames = noisy_sim(frames=300)
+    result = coordinate_refine(params3, [(header, frames)], iterations=iterations)
+    assert result.trials[0] == (params3, objective(params3, [(header, frames)]))
+    assert len(result.trials) == 1 + iterations * (7 * len(BOUNDS) + len(BV_CHOICES))
 
 
 def test_refine_never_worse_than_start(params3):
