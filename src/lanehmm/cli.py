@@ -223,20 +223,28 @@ def cmd_tune(args) -> int:
     if heldout:
         summary["holdout_accuracy"] = tuner.objective(result.best_params, heldout)
     if args.out:
-        model_core.save_params(args.out, result.best_params)
+        _write_text(args.out, "params", model_core.format_params(result.best_params))
         summary["out"] = str(args.out)
     if args.trials_log:
-        _write_trials_log(args.trials_log, all_trials)
+        _write_text(args.trials_log, "trials log", _trials_log(all_trials))
     _emit(summary)
     return EXIT_OK
 
 
-def _write_trials_log(path, trials) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for params, accuracy in trials:
-            record = {k: getattr(params, k) for k in model_core.PARAM_FIELDS}
-            record["accuracy"] = accuracy
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def _trials_log(trials) -> str:
+    lines = []
+    for params, accuracy in trials:
+        record = {k: getattr(params, k) for k in model_core.PARAM_FIELDS}
+        record["accuracy"] = accuracy
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def _write_text(path, what: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SequenceFormatError(f"cannot write {what}: {exc}", path=path) from None
 
 
 def cmd_evaluate(args) -> int:

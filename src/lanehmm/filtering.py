@@ -79,12 +79,7 @@ def likelihood(
     if wor.shape != frames + (2,) or wor_cpt.shape != lead + (2, 2):
         raise ParameterError("WOR evidence must have two entries")
     lane_term = (detector_cpt @ tentative[..., None, :, None])[..., 0]  # (..., 2, n): SS, lane
-    return weigh_wor(lane_term, wor, wor_cpt)
-
-
-def weigh_wor(lane_term: np.ndarray, wor: np.ndarray, wor_cpt: np.ndarray) -> np.ndarray:
-    """`likelihood` from its lane term `detector_cpt @ tentative`, (..., 2, n)."""
-    wor = wor.reshape(wor.shape[:-1] + (1,) * (wor_cpt.ndim - 2) + (2,))
+    wor = wor.reshape(frames + (1,) * len(lead) + (2,))
     wor_term = (wor_cpt @ wor[..., :, None])[..., 0]                    # (..., 2)
     lik = lane_term.swapaxes(-1, -2)                                    # (..., n, 2)
     lik *= wor_term[..., None, :]

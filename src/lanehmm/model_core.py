@@ -252,10 +252,6 @@ def format_params(params: HmmParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_params(path: str | Path, params: HmmParams) -> None:
-    Path(path).write_text(format_params(params), encoding="utf-8")
-
-
 PRESET_DIR_ENV = "LANEHMM_PRESET_DIR"
 
 

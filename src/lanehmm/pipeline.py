@@ -6,22 +6,25 @@ for the bonus value, which enters linearly), so the filter, the
 detector-only baseline and every tuner candidate share it.
 
 `filter_blocks` is the one forward-filter loop, for run_sequence (one
-parameter set) and the tuner sweep (K stacked candidates).  It works in
-blocks of frames: the likelihoods of a whole block at once, each piece of
-evidence that candidates share formed once, then only transition,
-multiply and normalize per frame, in place.  Every result is bitwise
-what `LaneFilter.step` gives frame by frame.
+parameter set) and the tuner sweep (K stacked candidates).  The evidence
+takes few distinct values, so it tabulates the likelihood terms once per
+distinct (base, bonus) row and WOR value, which EvidenceStream groups
+once, and each block of frames gathers and multiplies its likelihoods
+from those tables before the transition, multiply and normalize steps
+run through it in place.  Every result is bitwise what `LaneFilter.step`
+gives frame by frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dataset_io import ResultTable, SequenceHeader, SequenceTable
 from .errors import ConfigError
-from .filtering import forward, init_belief, lane_marginal, weigh_wor
+from .filtering import forward, init_belief, lane_marginal
 from .inverse_sensor import normalize_tentative
 from .model_core import CptSet, HmmParams, RuntimeConfig
 
@@ -44,6 +47,26 @@ class EvidenceStream:
 
     def __len__(self) -> int:
         return len(self.frame_ids)
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(row_frames, row_index, wor_frames, wor_index): the first frame of each
+        distinct (base, bonus) row by bit pattern and each frame's index among
+        them, and the same for wor_frac; grouped once per stream."""
+        # A row's code numbers its columns' bit patterns in mixed radix: no
+        # (T, 2n) key array, whose sort would set the peak memory of a run.
+        codes, size = np.zeros(len(self), dtype=np.int64), 1
+        for column in (*self.base.T, *self.bonus.T):
+            values, index = np.unique(column.view(np.int64), return_inverse=True)
+            if size * len(values) >= 2**62:  # renumber the codes before they overflow
+                used, codes = np.unique(codes, return_inverse=True)
+                size = len(used)
+            codes = codes * len(values) + index
+            size *= len(values)
+        _, row_frames, row_index = np.unique(codes, return_index=True, return_inverse=True)
+        _, wor_frames, wor_index = np.unique(
+            self.wor_frac.view(np.int64), return_index=True, return_inverse=True)
+        return row_frames, row_index, wor_frames, wor_index
 
 
 def _recomputed_lri(table: SequenceTable, cfg: RuntimeConfig):
@@ -163,6 +186,10 @@ def build_evidence(
 # temporaries stays near 0.1 MB.
 _BLOCK_CANDIDATE_LANES = 8192
 
+# Entries of the lane-term and WOR-term tables of one filter_blocks chunk (2 MB):
+# where clutter makes many rows distinct, chunks of frames are tabulated in turn.
+_TABLE_ENTRIES = 2**18
+
 
 def tentative_matrix(evidence: EvidenceStream, bv, rows=slice(None)) -> np.ndarray:
     """The tentative vectors `base + bv * bonus` of the selected frames.
@@ -175,9 +202,10 @@ def tentative_matrix(evidence: EvidenceStream, bv, rows=slice(None)) -> np.ndarr
     return evidence.base[rows].reshape(shape) + bv * evidence.bonus[rows].reshape(shape)
 
 
-def wor_matrix(evidence: EvidenceStream) -> np.ndarray:
-    """The WOR pair (OK, BAD) = (frac, 1 - frac) of every frame, shape (T, 2)."""
-    return np.stack([evidence.wor_frac, 1.0 - evidence.wor_frac], axis=1)
+def wor_matrix(evidence: EvidenceStream, rows=slice(None)) -> np.ndarray:
+    """The WOR pairs (OK, BAD) = (frac, 1 - frac) of the selected frames, (T, 2)."""
+    frac = evidence.wor_frac[rows]
+    return np.stack([frac, 1.0 - frac], axis=1)
 
 
 def filter_blocks(evidence: EvidenceStream, cpts: CptSet, bv, belief: np.ndarray):
@@ -188,31 +216,52 @@ def filter_blocks(evidence: EvidenceStream, cpts: CptSet, bv, belief: np.ndarray
     posteriors, (B, K, n, 2) or (B, n, 2) for one candidate, each bitwise
     what `LaneFilter.step` would hold after that frame.
 
-    Per frame, it normalizes a tentative vector per distinct bonus value
-    and forms a lane term per distinct (detector row block, bonus value)
-    pair, by bit pattern; a sigma1 or p1..p4 sweep has two such pairs.
+    With the kernels of `likelihood`, it tabulates a lane term per (distinct
+    row, distinct (detector row block, bonus value) pair) and a WOR term per
+    (distinct WOR value, candidate), for the whole sequence or per chunk of
+    frames within _TABLE_ENTRIES; a block gathers from both and multiplies.
     """
     if cpts.n != evidence.n:
         raise ConfigError(
             f"parameter lane count {cpts.n} conflicts with sequence lane count {evidence.n}"
         )
-    block = max(1, _BLOCK_CANDIDATE_LANES // (np.size(bv) * cpts.n))
+    n, size = cpts.n, np.size(bv)
+    block = max(1, _BLOCK_CANDIDATE_LANES // (size * n))
     values, bv_index = np.unique(bv, return_inverse=True)
-    blocks = cpts.detector.reshape(-1, cpts.n, cpts.n)
+    blocks = cpts.detector.reshape(-1, n, n)
     block_bv = np.repeat(bv_index, 2)
     keys = np.column_stack([blocks.reshape(len(blocks), -1).view(np.int64), block_bv])
     _, first, pair = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     tables, pair_bv = blocks[first], block_bv[first]
     pair = pair.reshape(cpts.detector.shape[:-2])  # (..., 2): each row block's pair
-    wor = wor_matrix(evidence)
-    for start in range(0, len(evidence), block):
-        rows = slice(start, start + block)
-        tentative = normalize_tentative(tentative_matrix(evidence, values[:, None], rows), cpts.n)
-        lane_term = (tables @ tentative[:, pair_bv, :, None])[..., 0]  # (B, pairs, n)
-        lik = weigh_wor(lane_term[:, pair], wor[rows], cpts.wor)
-        posteriors = forward(belief, cpts.lane, cpts.sensor, lik)
-        belief = posteriors[-1]
-        yield rows, posteriors
+    row_frames, row_index, wor_frames, wor_index = evidence.distinct
+    chunk = max(1, len(evidence))
+    if len(row_frames) * len(tables) * n + len(wor_frames) * 2 * size > _TABLE_ENTRIES:
+        # A frame adds at most one row and one WOR value to its chunk's tables.
+        chunk = max(1, _TABLE_ENTRIES // ((len(tables) * n + 2 * size) * block)) * block
+    for chunk_start in range(0, len(evidence), chunk):
+        span = slice(chunk_start, chunk_start + chunk)
+        used, row_local = np.unique(row_index[span], return_inverse=True)
+        tentative = normalize_tentative(
+            tentative_matrix(evidence, values[:, None], row_frames[used]), n)
+        # One matmul per bonus value: a (rows, pairs, n) operand gathered for
+        # one matmul would double the table's peak memory.
+        lane_table = np.empty((len(used), len(tables), n))  # (rows, pairs, n)
+        for v in range(len(values)):
+            mine = pair_bv == v
+            lane_table[:, mine] = (tables[mine] @ tentative[:, v, None, :, None])[..., 0]
+        used, wor_local = np.unique(wor_index[span], return_inverse=True)
+        wor = wor_matrix(evidence, wor_frames[used])
+        wor = wor.reshape((-1,) + (1,) * (cpts.wor.ndim - 2) + (2,))
+        wor_table = (cpts.wor @ wor[..., :, None])[..., 0]  # (values, ..., 2)
+        for start in range(0, len(row_local), block):
+            local = slice(start, start + block)
+            lane_term = lane_table[row_local[local].reshape((-1,) + (1,) * pair.ndim), pair]
+            lik = lane_term.swapaxes(-1, -2)  # (B, ..., n, 2)
+            lik *= wor_table[wor_local[local]][..., None, :]
+            posteriors = forward(belief, cpts.lane, cpts.sensor, lik)
+            belief = posteriors[-1]
+            yield slice(chunk_start + start, chunk_start + start + block), posteriors
 
 
 def run_sequence(evidence: EvidenceStream, params: HmmParams) -> ResultTable:

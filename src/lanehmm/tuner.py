@@ -8,8 +8,10 @@ vectorized: the inverse-sensor pass is parameter-independent up to the
 bonus value, so it runs once per sequence and all candidates share it,
 and the K candidates of a sweep are stacked along a leading axis and
 filtered by `pipeline.filter_blocks`, the loop run_sequence uses, in
-blocks of about 8192 / (K n) frames, which forms the evidence candidates
-share once; the refine start is scored in the first sweep.
+blocks of about 8192 / (K n) frames.  It forms each likelihood term once
+per distinct piece of evidence, grouped once per evidence stream, so the
+sweeps of one search share the grouping; the refine start is scored in
+the first sweep.
 """
 
 from __future__ import annotations

@@ -290,6 +290,18 @@ def test_tune_small_budget(capsys, sim3, tmp_path):
     assert len(log.read_text().splitlines()) == 8
 
 
+@pytest.mark.parametrize("flag, what", [("--out", "params"), ("--trials-log", "trials log")])
+def test_tune_unwritable_output_names_path(capsys, sim3, tmp_path, flag, what):
+    target = tmp_path / "no" / "such" / "dir.out"
+    code, stdout, stderr = run_cli(
+        capsys, "tune", "--input", str(sim3), "--budget", "2", "--seed", "3", flag, str(target),
+    )
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert stderr.startswith(f"error: {target}: cannot write {what}: ")
+    assert stderr.count("\n") == 1
+
+
 def test_map_lookup(capsys):
     code, stdout, _ = run_cli(
         capsys, "map-lookup", "--map", str(FIXTURES / "extract3.map"),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lanehmm import pipeline
 from lanehmm.dataset_io import (
+    PROB_TOLERANCE,
     FrameRecord,
     LineEntry,
     SequenceHeader,
@@ -19,13 +21,14 @@ from lanehmm.dataset_io import (
 from lanehmm.errors import ConfigError, SequenceFormatError
 from lanehmm.filtering import LaneFilter, init_belief
 from lanehmm.inverse_sensor import (
+    MAX_LINE_OFFSET_M,
     LriTracker,
     TrackedLine,
     compute_wor,
     normalize_tentative,
     tentative_parts,
 )
-from lanehmm.model_core import CptSet, RuntimeConfig
+from lanehmm.model_core import MAX_LANES, CptSet, RuntimeConfig
 from lanehmm.pipeline import (
     EvidenceStream,
     build_evidence,
@@ -372,6 +375,171 @@ def test_grouped_sweep_is_bitwise_k_lane_filter_streams(n, monkeypatch):
             assert swept[t, k].tobytes() == lane_filter.belief.tobytes(), (k, t)
             if k == 0:
                 assert single[t].tobytes() == lane_filter.belief.tobytes(), t
+
+
+
+def lane_filter_beliefs(evidence, candidates):
+    """Each candidate's LaneFilter belief after every frame, (T, K, n, 2)."""
+    wor = wor_matrix(evidence)
+    beliefs = np.empty((len(evidence), len(candidates), evidence.n, 2))
+    for k, params in enumerate(candidates):
+        lane_filter = LaneFilter(params)
+        for t, row in enumerate(tentative_matrix(evidence, params.bv)):
+            lane_filter.step(normalize_tentative(row, params.n), wor[t])
+            beliefs[t, k] = lane_filter.belief
+    return beliefs
+
+
+def stacked_cpts(candidates):
+    """The candidates' tables stacked on a leading axis, and their (K, 1) bonus values."""
+    cpts = [CptSet.from_params(p) for p in candidates]
+    stacked = CptSet(n=candidates[0].n, **{name: np.stack([getattr(c, name) for c in cpts])
+                                           for name in ("lane", "sensor", "detector", "wor")})
+    return stacked, np.array([[p.bv] for p in candidates])
+
+
+def swept_posteriors(evidence, candidates):
+    stacked, bv = stacked_cpts(candidates)
+    return np.concatenate([posteriors for _, posteriors in pipeline.filter_blocks(
+        evidence, stacked, bv, init_belief(candidates[0]))])
+
+
+def test_distinct_groups_rows_and_wor_values_by_bit_pattern():
+    # 30 distinct rows of 64 columns with up to 6 bit patterns each, in
+    # pairs that differ only in the sign of their first column: the row
+    # codes must be renumbered before the later columns push it out.
+    rng = np.random.default_rng(12)
+    T, n = 400, 32
+    pool = np.repeat(rng.choice([0.0, 1.0, 2.5, 4.0], (15, 2 * n)), 2, axis=0)
+    pool[1::2, 0] *= -1.0
+    rows = pool[rng.integers(0, len(pool), T)]
+    evidence = EvidenceStream(
+        n=n,
+        frame_ids=np.arange(T),
+        base=rows[:, :n].copy(),
+        bonus=rows[:, n:].copy(),
+        wor_frac=rng.choice([0.0, -0.0, 0.25, 1.0], T),
+        gt_lane=np.full(T, -1),
+        crossing=np.zeros(T, dtype=bool),
+    )
+    row_frames, row_index, wor_frames, wor_index = evidence.distinct
+    for bits, frames, index in ((rows.view(np.int64), row_frames, row_index),
+                                (evidence.wor_frac.view(np.int64)[:, None], wor_frames, wor_index)):
+        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(np.sort(frames), np.sort(first))
+        assert np.array_equal(frames[index], first[inverse.ravel()])
+
+
+@pytest.mark.parametrize("lri_source", ["recompute", "log"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 32])
+def test_shared_tables_are_bitwise_lane_filter_streams(n, lri_source, monkeypatch):
+    # Simulated evidence repeats its (base, bonus) rows and its WOR values,
+    # which are k / (window (n + 1)), across block boundaries: later blocks
+    # read the table entries that earlier ones used.
+    header, sim, _ = small_sim(n=n, seed=90 + n, frames=150)
+    rng = np.random.default_rng(90 + n)
+    if lri_source == "log":
+        header = dataclasses.replace(header, lri_source="log")
+        sim = dataclasses.replace(sim, lri=rng.integers(0, 11, len(sim.lri)),
+                                  valid=rng.integers(0, 2, len(sim.lri)).astype(np.int8))
+    evidence = build_evidence(header, sim)
+    steps = RuntimeConfig().lri_window * (n + 1)
+    assert np.isin(evidence.wor_frac, np.arange(steps + 1) / steps).all()
+    a, b = random_params(rng, n), random_params(rng, n)
+    candidates = [a, a.replace(sigma1=b.sigma1, p1=b.p1), b.replace(bv=a.bv), a, b]
+    block = 7  # frames per block of the stack; 35 for `a` alone
+    monkeypatch.setattr(pipeline, "_BLOCK_CANDIDATE_LANES", block * len(candidates) * n)
+    _, row_index, _, wor_index = evidence.distinct
+    for index in (row_index, wor_index):
+        assert np.intersect1d(index[:block], index[5 * block:]).size > 0
+    expected = lane_filter_beliefs(evidence, candidates)
+    assert swept_posteriors(evidence, candidates).tobytes() == expected.tobytes()
+    single = np.concatenate([posteriors for _, posteriors in pipeline.filter_blocks(
+        evidence, CptSet.from_params(a), a.bv, init_belief(a))])
+    assert single.tobytes() == expected[:, 0].tobytes()
+
+
+def test_tables_beyond_the_cap_are_built_per_chunk(monkeypatch):
+    # Every row and WOR value distinct, n = 32 and a stack of 50: the tables
+    # of the whole sequence would take 120 x (pairs x 32 + 100) entries, over
+    # 8 times the cap, so they are formed per chunk of frames within it.
+    n, K, T = 32, 50, 120
+    rng = np.random.default_rng(32)
+    base = rng.integers(0, 4, (T, n)).astype(float)
+    base[:, 0] = np.arange(T)
+    evidence = EvidenceStream(
+        n=n,
+        frame_ids=np.arange(T),
+        base=base,
+        bonus=rng.integers(0, 2, (T, n)).astype(float),
+        wor_frac=rng.uniform(0.0, 1.0, T),
+        gt_lane=np.full(T, -1),
+        crossing=np.zeros(T, dtype=bool),
+    )
+    row_frames, _, wor_frames, _ = evidence.distinct
+    assert len(row_frames) == len(wor_frames) == T
+    candidates = [random_params(rng, n) for _ in range(K)]
+    monkeypatch.setattr(pipeline, "_TABLE_ENTRIES", 30_000)
+    expected = lane_filter_beliefs(evidence, candidates)
+    assert swept_posteriors(evidence, candidates).tobytes() == expected.tobytes()
+
+    stacked, bv = stacked_cpts(candidates)
+    belief = init_belief(candidates[0])
+
+    def peak_bytes(frames):
+        part = dataclasses.replace(evidence, **{
+            name: getattr(evidence, name)[:frames]
+            for name in ("frame_ids", "base", "bonus", "wor_frac", "gt_lane", "crossing")})
+        part.distinct  # grouped once per stream, outside the traced pass
+        tracemalloc.start()
+        for _ in pipeline.filter_blocks(part, stacked, bv, belief):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    block = pipeline._BLOCK_CANDIDATE_LANES // (K * n)
+    # One block's pass holds the block temporaries; the whole pass adds at
+    # most the tables and the operand each is formed from.
+    assert peak_bytes(T) <= peak_bytes(block) + 2 * 8 * pipeline._TABLE_ENTRIES
+
+
+@st.composite
+def accepted_sequences(draw):
+    """Sequences that read_table accepts: n up to MAX_LANES, empty frames,
+    clutter at any offset in bounds, and, for the default thresholds, lane
+    widths above their tolerance and logged LRI within their window."""
+    n = draw(st.integers(1, MAX_LANES))
+    logged = draw(st.booleans())
+    cfg = RuntimeConfig()
+    window = cfg.lri_window
+    line = st.tuples(
+        st.floats(-MAX_LINE_OFFSET_M, MAX_LINE_OFFSET_M, exclude_min=True, exclude_max=True)
+        | st.sampled_from([0.0, -0.0, 1.75, -1.75]),
+        st.booleans(), st.booleans(),
+        st.integers(0, window) if logged else st.none(),
+        st.booleans() if logged else st.none(),
+    )
+    frame = st.dictionaries(st.sampled_from("abcdefgh"), line, max_size=8)
+    frames = draw(st.lists(st.one_of(st.just({}), frame), max_size=25))
+    header = SequenceHeader(n_lanes=n, lane_width_m=draw(st.floats(cfg.compat_tolerance, 5.0, exclude_min=True)),
+                            lri_source="log" if logged else "recompute")
+    params = random_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return header, make_frames(
+        [[(track, *rest) for track, rest in lines.items()] for lines in frames]), params
+
+
+@given(accepted_sequences())
+@settings(max_examples=100)
+def test_any_accepted_sequence_runs_to_normalized_marginals(tmp_path_factory, sequence):
+    header, frames, params = sequence
+    path = tmp_path_factory.getbasetemp() / "accepted.seq"
+    write_sequence(path, header, frames)
+    read_header, read = read_table(path)
+    results = run_sequence(build_evidence(read_header, read), params)
+    assert len(results) == len(frames)
+    assert np.all(np.abs(results.lane_marginal.sum(axis=1) - 1.0) <= PROB_TOLERANCE)
+    assert np.all((results.map_lane >= 1) & (results.map_lane <= header.n_lanes))
 
 
 def test_run_sequence_deterministic(params3, cfg):
