@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice, starmap
 from pathlib import Path
@@ -262,8 +263,9 @@ class ResultTable:
 def _parse_json_line(raw: str, path, lineno: int) -> dict:
     try:
         obj = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+    except (ValueError, RecursionError) as exc:  # a ValueError is not always a JSONDecodeError
+        reason = (exc.msg if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+                  if isinstance(exc, RecursionError) else "integer has too many digits")
         raise SequenceFormatError(f"invalid JSON ({reason})", path=path, line=lineno) from None
     if not isinstance(obj, dict):
         raise SequenceFormatError("expected a JSON object", path=path, line=lineno)
@@ -285,13 +287,13 @@ def _content_lines(path: Path) -> Iterator[tuple[int, str]]:
 
 def _strict(value, kind: type, name: str, path, lineno: int):
     """`value` if it is exactly a JSON `kind`: bool, int, str, or for
-    `float` any finite JSON number (returned as a float).
+    `float` any JSON number a double holds finitely (returned as a float).
 
     No coercion: "false" is not a boolean, 2.9 is not a lane index, 5 is
-    not a track id and "1.5" or NaN is not a timestamp.
+    not a track id and "1.5", NaN or 10**400 is not a timestamp.
     """
     if kind is float:
-        if type(value) in (int, float) and math.isfinite(value):
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
     elif type(value) is kind:
         return value
@@ -309,7 +311,7 @@ def _required(obj: dict, key: str, kind: type, what: str, path, lineno: int):
 
 
 def _parse_header(obj: dict, path, lineno: int, expect_content: str) -> SequenceHeader:
-    if obj.get("format") != FORMAT_VERSION:
+    if type(obj.get("format")) is not int or obj["format"] != FORMAT_VERSION:
         raise SequenceFormatError(
             f"missing or unsupported format version (expected {FORMAT_VERSION})",
             path=path, line=lineno,
@@ -326,8 +328,9 @@ def _parse_header(obj: dict, path, lineno: int, expect_content: str) -> Sequence
             lane_width_m=_strict(obj.get("lane_width_m", 3.5), float, "lane_width_m",
                                  path, lineno),
             fps=_strict(obj.get("fps", 10.0), float, "fps", path, lineno),
-            source=str(obj.get("source", "")),
-            lri_source=str(obj.get("lri_source", "recompute")),
+            source=_strict(obj.get("source", ""), str, "source", path, lineno),
+            lri_source=_strict(obj.get("lri_source", "recompute"), str, "lri_source",
+                               path, lineno),
         )
     except SequenceFormatError as exc:
         if exc.line is not None:  # a field check, already located

@@ -5,14 +5,14 @@ the geometry and LRI passes do not depend on the HMM parameters (except
 for the bonus value, which enters linearly), so the filter, the
 detector-only baseline and every tuner candidate share it.
 
-`filter_blocks` is the one forward-filter loop, for run_sequence (one
-parameter set) and the tuner sweep (K stacked candidates).  The evidence
-takes few distinct values, so it tabulates the likelihood terms once per
-distinct (base, bonus) row and WOR value, which EvidenceStream groups
-once, and each block of frames gathers and multiplies its likelihoods
-from those tables before the transition, multiply and normalize steps
-run through it in place.  Every result is bitwise what `LaneFilter.step`
-gives frame by frame.
+`filter_blocks` is the one forward-filter loop: it filters K parameter
+sets together, one for run_sequence and hundreds for a tuner sweep.  The
+evidence takes few distinct values, so it tabulates the likelihood terms
+once per distinct (base, bonus) row, WOR value and (detector row block,
+bonus value) pair, each grouped by bit pattern in `_distinct`, and each
+block of frames gathers and multiplies its likelihoods from those tables
+before the transition, multiply and normalize steps run through it in
+place.  Every result is bitwise what `LaneFilter.step` gives frame by frame.
 """
 
 from __future__ import annotations
@@ -53,20 +53,24 @@ class EvidenceStream:
         """(row_frames, row_index, wor_frames, wor_index): the first frame of each
         distinct (base, bonus) row by bit pattern and each frame's index among
         them, and the same for wor_frac; grouped once per stream."""
-        # A row's code numbers its columns' bit patterns in mixed radix: no
-        # (T, 2n) key array, whose sort would set the peak memory of a run.
-        codes, size = np.zeros(len(self), dtype=np.int64), 1
-        for column in (*self.base.T, *self.bonus.T):
-            values, index = np.unique(column.view(np.int64), return_inverse=True)
-            if size * len(values) >= 2**62:  # renumber the codes before they overflow
-                used, codes = np.unique(codes, return_inverse=True)
-                size = len(used)
-            codes = codes * len(values) + index
-            size *= len(values)
-        _, row_frames, row_index = np.unique(codes, return_index=True, return_inverse=True)
-        _, wor_frames, wor_index = np.unique(
-            self.wor_frac.view(np.int64), return_index=True, return_inverse=True)
-        return row_frames, row_index, wor_frames, wor_index
+        return (*_distinct(*self.base.T, *self.bonus.T), *_distinct(self.wor_frac))
+
+
+def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index): the first row of each distinct row of the 64-bit
+    `columns` by bit pattern, and each row's index among them.  A row's code
+    numbers its columns' bit patterns in mixed radix: no (rows, columns) key
+    array, whose sort would set the peak memory of a run."""
+    codes, size = 0, 1
+    for column in columns:
+        values, index = np.unique(column.view(np.int64), return_inverse=True)
+        if size * len(values) >= 2**62:  # renumber the codes before they overflow
+            used, codes = np.unique(codes, return_inverse=True)
+            size = len(used)
+        codes = codes * len(values) + index
+        size *= len(values)
+    _, first, index = np.unique(codes, return_index=True, return_inverse=True)
+    return first, index
 
 
 def _recomputed_lri(table: SequenceTable, cfg: RuntimeConfig):
@@ -208,37 +212,39 @@ def wor_matrix(evidence: EvidenceStream, rows=slice(None)) -> np.ndarray:
     return np.stack([frac, 1.0 - frac], axis=1)
 
 
-def filter_blocks(evidence: EvidenceStream, cpts: CptSet, bv, belief: np.ndarray):
-    """Forward-filter the evidence in blocks of frames, in order.
+def filter_blocks(evidence: EvidenceStream, candidates: list[HmmParams]):
+    """Forward-filter the evidence for K parameter sets, in blocks of frames.
 
-    `cpts` may hold K candidates' tables stacked on a leading axis, with
-    `bv` their (K, 1) bonus values.  Yields each block's frame slice and
-    posteriors, (B, K, n, 2) or (B, n, 2) for one candidate, each bitwise
-    what `LaneFilter.step` would hold after that frame.
-
-    With the kernels of `likelihood`, it tabulates a lane term per (distinct
-    row, distinct (detector row block, bonus value) pair) and a WOR term per
-    (distinct WOR value, candidate), for the whole sequence or per chunk of
-    frames within _TABLE_ENTRIES; a block gathers from both and multiplies.
+    Yields each block's frame slice and posteriors, (B, K, n, 2), each
+    bitwise what the candidate's `LaneFilter.step` would hold after that
+    frame; one parameter set is a stack of one.  With the kernels of
+    `likelihood`, it tabulates a lane term per (distinct row, distinct
+    (detector row block, bonus value) pair) and a WOR term per (distinct
+    WOR value, candidate), for the whole sequence or per chunk of frames
+    within _TABLE_ENTRIES; a block gathers from both and multiplies.
     """
-    if cpts.n != evidence.n:
-        raise ConfigError(
-            f"parameter lane count {cpts.n} conflicts with sequence lane count {evidence.n}"
-        )
-    n, size = cpts.n, np.size(bv)
-    block = max(1, _BLOCK_CANDIDATE_LANES // (size * n))
-    values, bv_index = np.unique(bv, return_inverse=True)
-    blocks = cpts.detector.reshape(-1, n, n)
-    block_bv = np.repeat(bv_index, 2)
-    keys = np.column_stack([blocks.reshape(len(blocks), -1).view(np.int64), block_bv])
-    _, first, pair = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    n, K = evidence.n, len(candidates)
+    for params in candidates:
+        if params.n != n:
+            raise ConfigError(
+                f"parameter lane count {params.n} conflicts with sequence lane count {n}")
+    sets = [CptSet.from_params(params) for params in candidates]
+    cpts = CptSet(n=n, **{name: np.stack([getattr(c, name) for c in sets])
+                          for name in ("lane", "sensor", "detector", "wor")})
+    belief = init_belief(candidates[0])
+    block = max(1, _BLOCK_CANDIDATE_LANES // (K * n))
+    bv = np.array([params.bv for params in candidates])
+    bv_first, bv_index = _distinct(bv)
+    values, block_bv = bv[bv_first], np.repeat(bv_index, 2)
+    blocks = cpts.detector.reshape(2 * K, n, n)
+    first, pair = _distinct(*blocks.reshape(2 * K, -1).T, block_bv)
     tables, pair_bv = blocks[first], block_bv[first]
-    pair = pair.reshape(cpts.detector.shape[:-2])  # (..., 2): each row block's pair
+    pair = pair.reshape(K, 2)  # each row block's pair
     row_frames, row_index, wor_frames, wor_index = evidence.distinct
     chunk = max(1, len(evidence))
-    if len(row_frames) * len(tables) * n + len(wor_frames) * 2 * size > _TABLE_ENTRIES:
+    if len(row_frames) * len(tables) * n + len(wor_frames) * 2 * K > _TABLE_ENTRIES:
         # A frame adds at most one row and one WOR value to its chunk's tables.
-        chunk = max(1, _TABLE_ENTRIES // ((len(tables) * n + 2 * size) * block)) * block
+        chunk = max(1, _TABLE_ENTRIES // ((len(tables) * n + 2 * K) * block)) * block
     for chunk_start in range(0, len(evidence), chunk):
         span = slice(chunk_start, chunk_start + chunk)
         used, row_local = np.unique(row_index[span], return_inverse=True)
@@ -251,13 +257,12 @@ def filter_blocks(evidence: EvidenceStream, cpts: CptSet, bv, belief: np.ndarray
             mine = pair_bv == v
             lane_table[:, mine] = (tables[mine] @ tentative[:, v, None, :, None])[..., 0]
         used, wor_local = np.unique(wor_index[span], return_inverse=True)
-        wor = wor_matrix(evidence, wor_frames[used])
-        wor = wor.reshape((-1,) + (1,) * (cpts.wor.ndim - 2) + (2,))
-        wor_table = (cpts.wor @ wor[..., :, None])[..., 0]  # (values, ..., 2)
+        wor = wor_matrix(evidence, wor_frames[used])[:, None, :, None]
+        wor_table = (cpts.wor @ wor)[..., 0]  # (values, K, 2)
         for start in range(0, len(row_local), block):
             local = slice(start, start + block)
-            lane_term = lane_table[row_local[local].reshape((-1,) + (1,) * pair.ndim), pair]
-            lik = lane_term.swapaxes(-1, -2)  # (B, ..., n, 2)
+            lane_term = lane_table[row_local[local, None, None], pair]  # (B, K, 2, n)
+            lik = lane_term.swapaxes(-1, -2)  # (B, K, n, 2)
             lik *= wor_table[wor_local[local]][..., None, :]
             posteriors = forward(belief, cpts.lane, cpts.sensor, lik)
             belief = posteriors[-1]
@@ -270,12 +275,11 @@ def run_sequence(evidence: EvidenceStream, params: HmmParams) -> ResultTable:
     Row t equals what a `LaneFilter` stepped frame by frame holds after
     frame t; MAP ties break toward the lowest lane.
     """
-    cpts = CptSet.from_params(params)
     marginal = np.empty((len(evidence), evidence.n))
     sensor_ok = np.empty(len(evidence))
-    for rows, posteriors in filter_blocks(evidence, cpts, params.bv, init_belief(params)):
-        marginal[rows] = lane_marginal(posteriors)
-        sensor_ok[rows] = posteriors[..., 0].sum(axis=-1)
+    for rows, posteriors in filter_blocks(evidence, [params]):
+        marginal[rows] = lane_marginal(posteriors[:, 0])
+        sensor_ok[rows] = posteriors[:, 0, :, 0].sum(axis=-1)
     return ResultTable(
         frame_ids=evidence.frame_ids,
         map_lane=marginal.argmax(axis=1) + 1,

@@ -6,12 +6,12 @@ plus coordinate refinement on a shrinking grid, both over one fixed
 space, the module constants BOUNDS and BV_CHOICES.  Candidate evaluation is
 vectorized: the inverse-sensor pass is parameter-independent up to the
 bonus value, so it runs once per sequence and all candidates share it,
-and the K candidates of a sweep are stacked along a leading axis and
-filtered by `pipeline.filter_blocks`, the loop run_sequence uses, in
-blocks of about 8192 / (K n) frames.  It forms each likelihood term once
-per distinct piece of evidence, grouped once per evidence stream, so the
-sweeps of one search share the grouping; the refine start is scored in
-the first sweep.
+and the K candidates of a sweep are filtered together by
+`pipeline.filter_blocks`, the loop run_sequence uses for one parameter
+set, in blocks of about 8192 / (K n) frames.  It forms each likelihood
+term once per distinct piece of evidence, grouped once per evidence
+stream, so the sweeps of one search share the grouping; the refine start
+is scored in the first sweep.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from .dataset_io import SequenceTable
 from .errors import ConfigError, EmptyObjectiveError, ParameterError
 from .evaluation import evaluate
-from .filtering import init_belief, lane_marginal
-from .model_core import CptSet, HmmParams
+from .filtering import lane_marginal
+from .model_core import HmmParams
 from .pipeline import EvidenceStream, build_evidence, filter_blocks, run_sequence
 
 Sequence = tuple  # (SequenceHeader, SequenceTable or list[FrameRecord])
@@ -67,22 +67,15 @@ def _batch_accuracy(
 ) -> np.ndarray:
     """Accuracy of every candidate on the pooled evidence, in one sweep.
 
-    The K candidates' tables are stacked along a leading axis and filtered
-    through the same block loop as run_sequence, so each candidate's MAP
-    stream is the one run_sequence would produce.
+    All K candidates are filtered together through the block loop
+    run_sequence uses, so each candidate's MAP stream is the one
+    run_sequence would produce.
     """
-    cpts = [CptSet.from_params(p) for p in candidates]
-    stacked = CptSet(
-        n=candidates[0].n,
-        **{name: np.stack([getattr(c, name) for c in cpts])
-           for name in ("lane", "sensor", "detector", "wor")},
-    )
-    bv = np.array([[p.bv] for p in candidates])  # (K, 1)
     correct = np.zeros(len(candidates), dtype=int)
     evaluated = 0
     for ev in evidence:
         scored = (ev.gt_lane > 0) & ~ev.crossing
-        for rows, posteriors in filter_blocks(ev, stacked, bv, init_belief(candidates[0])):
+        for rows, posteriors in filter_blocks(ev, candidates):
             keep = scored[rows]
             lanes = lane_marginal(posteriors)[keep].argmax(axis=-1) + 1  # (frames, K)
             correct += (lanes == ev.gt_lane[rows][keep, None]).sum(axis=0)

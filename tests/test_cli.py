@@ -522,6 +522,24 @@ def test_deeply_nested_json_is_input_error(capsys, sim3, tmp_path, content):
     assert stderr == f"error: {path}:2: invalid JSON (nested too deeply)\n"
 
 
+@pytest.mark.parametrize("digits", [401, 5000])
+@pytest.mark.parametrize("content", ["sequence", "results"])
+def test_huge_json_integers_are_input_errors(capsys, sim3, tmp_path, content, digits):
+    path, huge = tmp_path / "huge", "1" + "0" * (digits - 1)
+    line = ('{"id": 0, "t": %s, "lines": []}' if content == "sequence" else
+            '{"id": 0, "map_lane": 1, "marginal": [1.0, 0.0, 0.0], "sensor_ok": 0.5, '
+            '"tentative": [0.0, 0.0, 0.0], "wor": %s}') % huge
+    path.write_text(json.dumps({"format": 1, "content": content, "n_lanes": 3}) + "\n"
+                    + line + "\n")
+    argv = (["run", "--input", str(path), "--preset", "spain-run06"] if content == "sequence"
+            else ["evaluate", "--results", str(path), "--truth", str(sim3)])
+    code, stdout, stderr = run_cli(capsys, *argv)
+    field = "t" if content == "sequence" else "wor"
+    message = (f"{field} must be a JSON finite number, got {huge}" if digits < 4300
+               else "invalid JSON (integer has too many digits)")
+    assert (code, stdout, stderr) == (cli.EXIT_INPUT, "", f"error: {path}:2: {message}\n")
+
+
 def test_any_other_exception_is_an_internal_error(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

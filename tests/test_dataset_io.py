@@ -178,6 +178,9 @@ def test_duplicate_track_id_in_frame_reports_line(tmp_path, lri_source):
         ("frame", "id", -2**63 - 1),
         ("frame", "gt", 10**23),
         ("line", "lri", 10**23),
+        pytest.param("frame", "t", 10**400, id="t-huge-integer"),
+        pytest.param("frame", "gnss", [45.5, -10**400], id="gnss-huge-integer"),
+        pytest.param("line", "offset", -10**400, id="offset-huge-integer"),
     ],
 )
 def test_reader_is_type_strict(tmp_path, where, field, value):
@@ -206,6 +209,15 @@ def test_reader_is_type_strict(tmp_path, where, field, value):
         ("fps", "Infinity", "fps must be a JSON finite number"),
         ("fps", float("inf"), "fps must be a JSON finite number"),
         ("fps", -10, "fps must be > 0"),
+        pytest.param("lane_width_m", 10**400, "lane_width_m must be a JSON finite number",
+                     id="lane_width_m-huge-integer"),
+        pytest.param("fps", -10**400, "fps must be a JSON finite number",
+                     id="fps-huge-integer"),
+        ("format", True, "missing or unsupported format version"),
+        ("format", 1.0, "missing or unsupported format version"),
+        ("source", {"a": [1, 2]}, "source must be a JSON string"),
+        ("source", 5, "source must be a JSON string"),
+        ("lri_source", ["log"], "lri_source must be a JSON string"),
     ],
 )
 def test_header_is_type_strict(tmp_path, field, value, message):
@@ -464,6 +476,10 @@ FINITE = "must be a JSON finite number"
         pytest.param("wor", -2.0, r"must lie in \[0, 1\], got -2.0", id="wor-negative"),
         pytest.param("tentative", [0.0, -3.0, 0.0], "must be >= 0, got -3.0",
                      id="tentative-negative"),
+        pytest.param("marginal", [10**400, 0.0, 0.0], FINITE, id="marginal-huge-integer"),
+        pytest.param("sensor_ok", 10**400, FINITE, id="sensor_ok-huge-integer"),
+        pytest.param("tentative", [0.0, -10**400, 0.0], FINITE, id="tentative-huge-integer"),
+        pytest.param("wor", 10**400, FINITE, id="wor-huge-integer"),
     ],
 )
 def test_results_reader_is_type_strict(tmp_path, field, value, message):
@@ -473,6 +489,67 @@ def test_results_reader_is_type_strict(tmp_path, field, value, message):
                     + json.dumps({**RESULT, "id": 4, field: value}) + "\n")
     with pytest.raises(SequenceFormatError, match=f":3: {field} {message}"):
         read_results(path)
+
+
+# Any JSON value: unbounded integers, floats with NaN and +-inf, strings,
+# null, arrays and objects.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+LINE = {"track": "b0", "offset": -1.75, "cont": True, "det": True, "lri": 10, "valid": True}
+
+
+@st.composite
+def edited(draw, template):
+    """`template`, or once in four times any JSON value, with at most one
+    field dropped and two set to any JSON value."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(ANY_JSON)
+    obj = dict(template)
+    keys = st.sampled_from([*template, "other"])
+    for key in draw(st.lists(keys, max_size=1)):
+        obj.pop(key, None)
+    for key in draw(st.lists(keys, max_size=2)):
+        obj[key] = draw(ANY_JSON)
+    return obj
+
+
+@st.composite
+def json_line_files(draw):
+    """A sequence or results file, header included, of `edited` lines."""
+    content = draw(st.sampled_from(["sequence", "results"]))
+    header = {"format": 1, "content": content, "n_lanes": 3,
+              "lri_source": draw(st.sampled_from(["recompute", "log"]))}
+    lines = [draw(st.just(header) | edited(header))]
+    for i in range(draw(st.integers(0, 5))):
+        if content == "results":
+            template = {**RESULT, "id": i}
+        else:
+            entries = draw(st.lists(edited(LINE), max_size=3))
+            template = {"id": i, "t": 0.1 * i, "gt": 1, "gnss": [45.0, 9.0], "lines": entries}
+        lines.append(draw(edited(template)))
+    return content, "".join(json.dumps(line) + "\n" for line in lines)
+
+
+HUGE = "1" + "0" * 400  # an integer no double holds
+
+
+@example(("sequence", '{"format": 1, "n_lanes": 3}\n{"id": 0, "t": %s, "lines": []}\n' % HUGE))
+@example(("results", '{"format": 1, "content": "results", "n_lanes": 3}\n'
+          + json.dumps(RESULT).replace('"wor": 0.5', '"wor": ' + HUGE) + "\n"))
+@given(json_line_files())
+@settings(max_examples=200)
+def test_any_json_lines_read_or_fail_as_format_errors(tmp_path_factory, case):
+    content, text = case
+    path = tmp_path_factory.getbasetemp() / "any.jsonl"
+    path.write_text(text, encoding="utf-8")
+    try:
+        (read_table if content == "sequence" else read_results)(path)
+    except SequenceFormatError:
+        pass
 
 
 def test_results_probabilities_may_stray_by_rounding(tmp_path):

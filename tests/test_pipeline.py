@@ -19,7 +19,7 @@ from lanehmm.dataset_io import (
     write_sequence,
 )
 from lanehmm.errors import ConfigError, SequenceFormatError
-from lanehmm.filtering import LaneFilter, init_belief
+from lanehmm.filtering import LaneFilter
 from lanehmm.inverse_sensor import (
     MAX_LINE_OFFSET_M,
     LriTracker,
@@ -28,7 +28,7 @@ from lanehmm.inverse_sensor import (
     normalize_tentative,
     tentative_parts,
 )
-from lanehmm.model_core import MAX_LANES, CptSet, RuntimeConfig
+from lanehmm.model_core import MAX_LANES, RuntimeConfig
 from lanehmm.pipeline import (
     EvidenceStream,
     build_evidence,
@@ -356,16 +356,12 @@ def test_grouped_sweep_is_bitwise_k_lane_filter_streams(n, monkeypatch):
         a,                                        # an exact duplicate
         b,
     ]
-    cpts = [CptSet.from_params(p) for p in candidates]
-    stacked = CptSet(n=n, **{name: np.stack([getattr(c, name) for c in cpts])
-                             for name in ("lane", "sensor", "detector", "wor")})
-    bv = np.array([[p.bv] for p in candidates])
     # Blocks of 7 frames for the stack: 60 = 8 * 7 + 4.
     monkeypatch.setattr(pipeline, "_BLOCK_CANDIDATE_LANES", 7 * len(candidates) * n)
     swept = np.concatenate([posteriors for _, posteriors in
-                            pipeline.filter_blocks(evidence, stacked, bv, init_belief(a))])
+                            pipeline.filter_blocks(evidence, candidates)])
     single = np.concatenate([posteriors for _, posteriors in
-                             pipeline.filter_blocks(evidence, cpts[0], a.bv, init_belief(a))])
+                             pipeline.filter_blocks(evidence, [a])])
     wor = wor_matrix(evidence)
     for k, params in enumerate(candidates):
         lane_filter = LaneFilter(params)
@@ -390,18 +386,9 @@ def lane_filter_beliefs(evidence, candidates):
     return beliefs
 
 
-def stacked_cpts(candidates):
-    """The candidates' tables stacked on a leading axis, and their (K, 1) bonus values."""
-    cpts = [CptSet.from_params(p) for p in candidates]
-    stacked = CptSet(n=candidates[0].n, **{name: np.stack([getattr(c, name) for c in cpts])
-                                           for name in ("lane", "sensor", "detector", "wor")})
-    return stacked, np.array([[p.bv] for p in candidates])
-
-
 def swept_posteriors(evidence, candidates):
-    stacked, bv = stacked_cpts(candidates)
     return np.concatenate([posteriors for _, posteriors in pipeline.filter_blocks(
-        evidence, stacked, bv, init_belief(candidates[0]))])
+        evidence, candidates)])
 
 
 def test_distinct_groups_rows_and_wor_values_by_bit_pattern():
@@ -423,11 +410,45 @@ def test_distinct_groups_rows_and_wor_values_by_bit_pattern():
         crossing=np.zeros(T, dtype=bool),
     )
     row_frames, row_index, wor_frames, wor_index = evidence.distinct
+    # filter_blocks' detector pairs: each candidate's OK and BAD row blocks
+    # with its bonus value's index.  The BAD block is shared by all, and two
+    # OK blocks differ only in the sign of one zero.
+    K = 40
+    ok = rng.choice([0.0, 0.25, 0.5], (6, n, n))
+    ok[0, 0, 0] = 0.0
+    ok[1] = ok[0]
+    ok[1, 0, 0] = -0.0
+    detector = np.empty((K, 2, n, n))
+    detector[:, 0] = ok[np.r_[0, 1, rng.integers(0, 6, K - 2)]]
+    detector[:, 1] = 1.0 / n
+    blocks = detector.reshape(2 * K, -1)
+    block_bv = np.repeat(np.r_[0, 0, rng.integers(0, 3, K - 2)], 2)
+    pair_first, pair = pipeline._distinct(*blocks.T, block_bv)
     for bits, frames, index in ((rows.view(np.int64), row_frames, row_index),
-                                (evidence.wor_frac.view(np.int64)[:, None], wor_frames, wor_index)):
+                                (evidence.wor_frac.view(np.int64)[:, None], wor_frames, wor_index),
+                                (np.column_stack([blocks.view(np.int64), block_bv]),
+                                 pair_first, pair)):
         _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
         assert np.array_equal(np.sort(frames), np.sort(first))
         assert np.array_equal(frames[index], first[inverse.ravel()])
+
+
+def test_pair_grouping_peaks_below_the_detector_stack():
+    # At n = 32 and K = 500 the detector pairs are grouped from an 8.2 MB
+    # stack of row blocks, every OK block distinct; a (2K, n^2 + 1) key and
+    # its sort had peaked at 29 MB.
+    n, K = 32, 500
+    rng = np.random.default_rng(500)
+    detector = np.empty((K, 2, n, n))
+    detector[:, 0] = rng.random((K, n, n))
+    detector[:, 1] = 1.0 / n
+    block_bv = np.repeat(rng.integers(0, 11, K), 2)
+    tracemalloc.start()
+    first, _ = pipeline._distinct(*detector.reshape(2 * K, -1).T, block_bv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(first) == K + len(np.unique(block_bv))
+    assert peak < detector.nbytes
 
 
 @pytest.mark.parametrize("lri_source", ["recompute", "log"])
@@ -455,7 +476,7 @@ def test_shared_tables_are_bitwise_lane_filter_streams(n, lri_source, monkeypatc
     expected = lane_filter_beliefs(evidence, candidates)
     assert swept_posteriors(evidence, candidates).tobytes() == expected.tobytes()
     single = np.concatenate([posteriors for _, posteriors in pipeline.filter_blocks(
-        evidence, CptSet.from_params(a), a.bv, init_belief(a))])
+        evidence, [a])])
     assert single.tobytes() == expected[:, 0].tobytes()
 
 
@@ -483,16 +504,13 @@ def test_tables_beyond_the_cap_are_built_per_chunk(monkeypatch):
     expected = lane_filter_beliefs(evidence, candidates)
     assert swept_posteriors(evidence, candidates).tobytes() == expected.tobytes()
 
-    stacked, bv = stacked_cpts(candidates)
-    belief = init_belief(candidates[0])
-
     def peak_bytes(frames):
         part = dataclasses.replace(evidence, **{
             name: getattr(evidence, name)[:frames]
             for name in ("frame_ids", "base", "bonus", "wor_frac", "gt_lane", "crossing")})
         part.distinct  # grouped once per stream, outside the traced pass
         tracemalloc.start()
-        for _ in pipeline.filter_blocks(part, stacked, bv, belief):
+        for _ in pipeline.filter_blocks(part, candidates):
             pass
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
